@@ -44,7 +44,7 @@ pub const RULE_IDS: &[&str] = &[
 ];
 
 /// Crates whose hot paths must stay free of std hash collections (the
-/// compact backend exists precisely so these never hash on the data path;
+/// compact adjacency exists precisely so these never hash on the data path;
 /// the one sanctioned wrapper is `gps-graph/src/hash.rs`, via allowlist).
 const HOT_PATH_CRATES: &[&str] = &["gps-graph", "gps-core", "gps-engine"];
 
@@ -151,7 +151,7 @@ fn push(out: &mut Vec<Violation>, rule: &'static str, path: &str, line: usize, m
 
 /// `no-hashmap-hot-path`: no `std::collections::{HashMap, HashSet}` in the
 /// library code of the hot-path crates. Hashing on the data path is what
-/// the compact backend removed (PR 2); direct std-collection imports are
+/// the compact adjacency removed; direct std-collection imports are
 /// how it would silently creep back.
 fn rule_hashmap_hot_path(path: &str, m: &MaskedFile, tests: &[bool], out: &mut Vec<Violation>) {
     if !in_crate_src(path, HOT_PATH_CRATES) {

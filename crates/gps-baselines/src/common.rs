@@ -2,7 +2,7 @@
 
 use gps_graph::hash::FxHashMap;
 use gps_graph::types::{Edge, EdgeKey};
-use gps_graph::{AdjacencyBackend, BackendKind};
+use gps_graph::CompactAdjacency;
 
 /// A streaming triangle-count estimator: the minimal interface the
 /// experiment harness needs to drive GPS and every baseline uniformly.
@@ -27,20 +27,14 @@ pub trait TriangleEstimator {
 /// reservoir are built on. (Uniform eviction needs an indexable vector;
 /// triangle counting needs neighbor sets; this keeps the two views in sync.)
 ///
-/// The adjacency view is an [`AdjacencyBackend`], defaulting to the same
-/// cache-friendly `CompactAdjacency` that backs `GpsSampler` — so Table 2/3
-/// comparisons measure *algorithms*, not data structures. The nested-hash
-/// representation stays selectable via
-/// [`EdgeSampleStore::with_backend`] for differential tests and
-/// before/after benchmarks. Every query a baseline makes through this store
-/// is order-oblivious (counts, degrees, membership), so the two backends
-/// are observationally identical and same-seed runs produce bit-identical
-/// estimates on either (see `tests/backend_equivalence.rs`).
+/// The adjacency view is the same cache-friendly [`CompactAdjacency`] that
+/// backs `GpsSampler` — so Table 2/3 comparisons measure *algorithms*, not
+/// data structures.
 #[derive(Clone, Debug)]
 pub struct EdgeSampleStore {
     edges: Vec<Edge>,
     positions: FxHashMap<EdgeKey, usize>,
-    adj: AdjacencyBackend<()>,
+    adj: CompactAdjacency<()>,
 }
 
 impl Default for EdgeSampleStore {
@@ -50,24 +44,13 @@ impl Default for EdgeSampleStore {
 }
 
 impl EdgeSampleStore {
-    /// Empty store on the default compact backend.
+    /// Empty store.
     pub fn new() -> Self {
-        Self::with_backend(BackendKind::Compact)
-    }
-
-    /// Empty store on an explicit adjacency backend.
-    pub fn with_backend(kind: BackendKind) -> Self {
         EdgeSampleStore {
             edges: Vec::new(),
             positions: FxHashMap::default(),
-            adj: AdjacencyBackend::new_of_kind(kind),
+            adj: CompactAdjacency::new(),
         }
-    }
-
-    /// Which adjacency representation this store uses.
-    #[inline]
-    pub fn backend(&self) -> BackendKind {
-        self.adj.kind()
     }
 
     /// Number of stored edges.
@@ -141,7 +124,7 @@ impl EdgeSampleStore {
 
     /// Read access to the adjacency view.
     #[inline]
-    pub fn adjacency(&self) -> &AdjacencyBackend<()> {
+    pub fn adjacency(&self) -> &CompactAdjacency<()> {
         &self.adj
     }
 }
@@ -207,26 +190,18 @@ mod tests {
 
     #[test]
     fn insert_remove_keep_views_consistent() {
-        for kind in [BackendKind::Compact, BackendKind::HashMap] {
-            let mut s = EdgeSampleStore::with_backend(kind);
-            assert_eq!(s.backend(), kind);
-            assert!(s.insert(Edge::new(0, 1)));
-            assert!(s.insert(Edge::new(1, 2)));
-            assert!(s.insert(Edge::new(0, 2)));
-            assert!(!s.insert(Edge::new(2, 0)), "duplicate rejected");
-            assert_eq!(s.len(), 3);
-            assert_eq!(s.common_neighbors(Edge::new(0, 1)), 1);
-            assert!(s.remove(Edge::new(1, 2)));
-            assert_eq!(s.len(), 2);
-            assert_eq!(s.common_neighbors(Edge::new(0, 1)), 0);
-            assert!(!s.remove(Edge::new(1, 2)));
-            assert_eq!(s.degree(0), 2);
-        }
-    }
-
-    #[test]
-    fn default_store_is_compact() {
-        assert_eq!(EdgeSampleStore::new().backend(), BackendKind::Compact);
+        let mut s = EdgeSampleStore::new();
+        assert!(s.insert(Edge::new(0, 1)));
+        assert!(s.insert(Edge::new(1, 2)));
+        assert!(s.insert(Edge::new(0, 2)));
+        assert!(!s.insert(Edge::new(2, 0)), "duplicate rejected");
+        assert_eq!(s.len(), 3);
+        assert_eq!(s.common_neighbors(Edge::new(0, 1)), 1);
+        assert!(s.remove(Edge::new(1, 2)));
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.common_neighbors(Edge::new(0, 1)), 0);
+        assert!(!s.remove(Edge::new(1, 2)));
+        assert_eq!(s.degree(0), 2);
     }
 
     #[test]

@@ -20,14 +20,11 @@
 //! can drive them interchangeably alongside GPS.
 //!
 //! The store-based baselines (TRIEST, MASCOT, JHA, uniform reservoir) keep
-//! their sampled topology in [`common::EdgeSampleStore`], which runs on the
-//! same `gps_graph::AdjacencyBackend` substrate as `GpsSampler` — compact
-//! by default, nested-hash selectable per sampler via `with_backend` — so
-//! Table 2/3 comparisons measure algorithms, not data structures. Same-seed
-//! runs are bit-identical across backends
-//! (`tests/backend_equivalence.rs`). NSAMP keeps no adjacency at all (at
-//! most two edges per [`common::NeighborhoodEstimator`]) and therefore has
-//! no backend axis.
+//! their sampled topology in [`common::EdgeSampleStore`], which holds the
+//! same `gps_graph::CompactAdjacency` as `GpsSampler` — so Table 2/3
+//! comparisons measure algorithms, not data structures. NSAMP keeps no
+//! adjacency at all (at most two edges per
+//! [`common::NeighborhoodEstimator`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

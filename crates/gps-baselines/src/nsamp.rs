@@ -24,10 +24,9 @@ use rand::{Rng, SeedableRng};
 /// NSAMP with `r` parallel neighborhood estimators.
 ///
 /// NSAMP keeps **no adjacency structure** — each
-/// [`NeighborhoodEstimator`] holds at most two concrete edges — so unlike
-/// the store-based baselines there is no adjacency-backend axis to select;
-/// the estimator state is shared with [`crate::nsamp_bulk::NSampBulk`]
-/// via `common`.
+/// [`NeighborhoodEstimator`] holds at most two concrete edges; the
+/// estimator state is shared with [`crate::nsamp_bulk::NSampBulk`] via
+/// `common`.
 pub struct NSamp {
     estimators: Vec<NeighborhoodEstimator>,
     t: u64,

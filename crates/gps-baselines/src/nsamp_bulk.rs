@@ -32,8 +32,7 @@ use rand::{Rng, SeedableRng};
 /// Like the naive variant, the per-estimator state
 /// ([`NeighborhoodEstimator`], shared via `common`) holds at most two
 /// concrete edges and no adjacency structure; the `node → estimators`
-/// inverted index below maps nodes to *estimator ids*, not edges, so there
-/// is no adjacency-backend axis here either.
+/// inverted index below maps nodes to *estimator ids*, not edges.
 pub struct NSampBulk {
     estimators: Vec<NeighborhoodEstimator>,
     /// node → ids of estimators whose current `e1` touches the node.

@@ -15,7 +15,6 @@ use crate::common::{EdgeSampleStore, TriangleEstimator};
 use gps_graph::csr::CsrGraph;
 use gps_graph::exact;
 use gps_graph::types::Edge;
-use gps_graph::BackendKind;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -28,18 +27,12 @@ pub struct UniformReservoir {
 }
 
 impl UniformReservoir {
-    /// Creates a uniform reservoir of `capacity` edges on the default
-    /// compact adjacency backend.
+    /// Creates a uniform reservoir of `capacity` edges.
     pub fn new(capacity: usize, seed: u64) -> Self {
-        Self::with_backend(capacity, seed, BackendKind::Compact)
-    }
-
-    /// [`UniformReservoir::new`] on an explicit adjacency backend.
-    pub fn with_backend(capacity: usize, seed: u64, backend: BackendKind) -> Self {
         assert!(capacity >= 3, "need capacity ≥ 3 for triangle scaling");
         UniformReservoir {
             capacity,
-            store: EdgeSampleStore::with_backend(backend),
+            store: EdgeSampleStore::new(),
             t: 0,
             rng: SmallRng::seed_from_u64(seed),
         }

@@ -4,12 +4,8 @@
 //! set-intersection more, NSAMP is slowest (O(r) per edge without bulk
 //! processing, as the paper observes).
 //!
-//! Every store-based estimator is measured on **both** adjacency backends
-//! (`compact` is the production default; `hashmap` is the pre-port
-//! substrate), so a slow baseline can no longer be blamed on its data
-//! structure: same-seed runs produce bit-identical estimates on either
-//! backend and the delta is pure representation cost. The NSAMP variants
-//! keep no adjacency and so have no backend axis.
+//! Every store-based estimator holds the same `CompactAdjacency` as GPS,
+//! so a slow baseline cannot be blamed on its data structure.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use gps_baselines::{
@@ -17,15 +13,7 @@ use gps_baselines::{
     UniformReservoir,
 };
 use gps_bench::adapters::{GpsInStream, GpsPost};
-use gps_graph::BackendKind;
 use gps_stream::{gen, permuted};
-
-fn backend_tag(kind: BackendKind) -> &'static str {
-    match kind {
-        BackendKind::Compact => "compact",
-        BackendKind::HashMap => "hashmap",
-    }
-}
 
 fn bench_baselines(c: &mut Criterion) {
     let edges = permuted(&gen::holme_kim(20_000, 3, 0.5, 9), 4);
@@ -53,34 +41,13 @@ fn bench_baselines(c: &mut Criterion) {
         };
     }
 
-    // Backend axis: each store-based estimator on both substrates.
-    for kind in [BackendKind::Compact, BackendKind::HashMap] {
-        let tag = backend_tag(kind);
-        bench_est!(
-            format!("triest_base/{tag}"),
-            TriestBase::with_backend(m, 1, kind)
-        );
-        bench_est!(
-            format!("triest_impr/{tag}"),
-            TriestImpr::with_backend(m, 1, kind)
-        );
-        bench_est!(format!("mascot/{tag}"), Mascot::with_backend(p, 1, kind));
-        bench_est!(
-            format!("jha_wedge/{tag}"),
-            JhaWedgeSampler::with_backend(m, m / 8, 1, kind)
-        );
-        bench_est!(
-            format!("uniform_reservoir/{tag}"),
-            UniformReservoir::with_backend(m, 1, kind)
-        );
-        bench_est!(format!("gps_post/{tag}"), GpsPost::with_backend(m, 1, kind));
-        bench_est!(
-            format!("gps_in_stream/{tag}"),
-            GpsInStream::with_backend(m, 1, kind)
-        );
-    }
-
-    // No adjacency state, hence no backend axis.
+    bench_est!("triest_base", TriestBase::new(m, 1));
+    bench_est!("triest_impr", TriestImpr::new(m, 1));
+    bench_est!("mascot", Mascot::new(p, 1));
+    bench_est!("jha_wedge", JhaWedgeSampler::new(m, m / 8, 1));
+    bench_est!("uniform_reservoir", UniformReservoir::new(m, 1));
+    bench_est!("gps_post", GpsPost::new(m, 1));
+    bench_est!("gps_in_stream", GpsInStream::new(m, 1));
     bench_est!("nsamp_r512", NSamp::new(512, 1));
     bench_est!("nsamp_bulk_r512", NSampBulk::new(512, 1));
     bench_est!("nsamp_bulk_r4096", NSampBulk::new(4096, 1));

@@ -1,9 +1,9 @@
 //! `bench_baseline` — the repo's reproducible `GPSUpdate` perf harness.
 //!
 //! Runs the update-throughput scenario grid (weights × streams × reservoir
-//! sizes) on **both** adjacency backends and writes a machine-readable
-//! baseline (`BENCH_PR2.json` by default) so every future perf PR has a
-//! trajectory to beat.
+//! sizes) and writes a machine-readable baseline (`BENCH_PR2.json` by
+//! default, schema `gps-bench/bench-baseline/v2`) so every future perf PR
+//! has a trajectory to beat.
 //!
 //! ```text
 //! bench_baseline [--quick] [--iters N] [--seed N] [--out PATH]
@@ -13,39 +13,36 @@
 //!
 //! - `--quick`: reduced streams and capacities (CI smoke scale).
 //! - `--out PATH`: where to write the baseline (default `BENCH_PR2.json`).
-//! - `--baselines`: additionally measure the ported `gps-baselines`
-//!   samplers on both adjacency backends and include the grid in the
-//!   output document (`baseline_samplers` section; see docs/benchmarks.md).
+//! - `--baselines`: additionally measure the `gps-baselines` samplers and
+//!   include the grid in the output document (`baseline_samplers`
+//!   section; see docs/benchmarks.md).
 //! - `--engine`: additionally measure the `gps-engine` sharded ingest at
 //!   S ∈ {1, 2, 4, 8} shards and include the scaling grid in the output
-//!   document (`engine` section; schema stays v1-compatible).
+//!   document (`engine` section).
 //! - `--serve`: additionally measure `gps-serve` live-serving ingest at
 //!   0/1/4 concurrent reader threads, with epoch staleness (`serve`
-//!   section; schema stays v1-compatible).
+//!   section).
 //! - `--chaos`: additionally measure crash recovery at S ∈ {2, 4} shards —
 //!   clean vs faulted ingest with a scripted mid-stream panic + checkpoint
 //!   restore, exact arrivals-lost/restart counts from the engine's
 //!   incident ledger, and the degraded-epoch count of a gated serving
-//!   probe under a scripted stall (`chaos` section; schema stays
-//!   v1-compatible).
+//!   probe under a scripted stall (`chaos` section).
 //! - `--sim`: additionally run the `gps-sim` discrete-event scale-out
 //!   sweep — S ∈ {16, 64, 256} simulated shard-nodes (quick: {16, 64}) ×
 //!   keyspace skew × fault scenario, in virtual time over the production
-//!   sampler/estimator/merge code (`sim` section; schema stays
-//!   v1-compatible and the numbers are bit-deterministic per seed).
+//!   sampler/estimator/merge code (`sim` section; the numbers are
+//!   bit-deterministic per seed).
 //! - `--telemetry`: additionally capture the engine's deterministic
 //!   `Stable`-class telemetry counters from one clean, checkpointed run,
 //!   plus the fingerprint that pins the whole stable snapshot
-//!   (`telemetry` section; schema stays v1-compatible and `--check`
-//!   validates its shape).
+//!   (`telemetry` section; `--check` validates its shape).
 //! - `--trace`: additionally capture per-stage epoch latency attribution
 //!   (p50/p99 per pipeline stage) from the serving stack's flight
 //!   recorder over a manual-clock driven run — fully deterministic per
-//!   seed (`trace` section; schema stays v1-compatible and `--check`
-//!   validates its shape).
+//!   seed (`trace` section; `--check` validates its shape).
 //! - `--check PATH`: *instead of* writing, validate the committed baseline
 //!   at `PATH` (schema + required fields) and fail — exit code 1 — if the
-//!   current compact-backend throughput falls below `min-ratio` × the
+//!   current compact throughput falls below `min-ratio` × the
 //!   committed number for any shared scenario (default ratio 0.5, i.e. a
 //!   >2× regression trips it).
 
@@ -140,14 +137,11 @@ fn git_rev() -> String {
 
 fn print_result(r: &ScenarioResult) {
     println!(
-        "{:<28} {:>9} edges  compact {:>8.1} ns/e ({:>7.3} Me/s)  hashmap {:>8.1} ns/e ({:>7.3} Me/s)  speedup {:>5.2}x",
+        "{:<28} {:>9} edges  compact {:>8.1} ns/e ({:>7.3} Me/s)",
         r.scenario.name(),
         r.edges,
         r.compact.ns_per_edge,
         r.compact.edges_per_sec / 1e6,
-        r.hashmap.ns_per_edge,
-        r.hashmap.edges_per_sec / 1e6,
-        r.speedup(),
     );
 }
 
@@ -236,14 +230,11 @@ fn print_trace(t: &TraceResult) {
 
 fn print_baseline(r: &BaselineResult) {
     println!(
-        "{:<28} {:>9} edges  compact {:>8.1} ns/e ({:>7.3} Me/s)  hashmap {:>8.1} ns/e ({:>7.3} Me/s)  speedup {:>5.2}x",
+        "{:<28} {:>9} edges  compact {:>8.1} ns/e ({:>7.3} Me/s)",
         r.scenario,
         r.edges,
         r.compact.ns_per_edge,
         r.compact.edges_per_sec / 1e6,
-        r.hashmap.ns_per_edge,
-        r.hashmap.edges_per_sec / 1e6,
-        r.speedup(),
     );
 }
 
@@ -416,4 +407,58 @@ fn main() -> ExitCode {
     }
     println!("wrote {}", args.out);
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gps_bench::perf::{Measurement, Scenario, StreamKind, WeightKind};
+
+    fn measured(capacity: usize, edges_per_sec: f64) -> ScenarioResult {
+        ScenarioResult {
+            scenario: Scenario {
+                stream: StreamKind::HolmeKim,
+                weight: WeightKind::Triangle,
+                capacity,
+            },
+            edges: 1_000,
+            compact: Measurement {
+                elapsed_ns: 1_000_000,
+                ns_per_edge: 1e9 / edges_per_sec,
+                edges_per_sec,
+            },
+        }
+    }
+
+    fn committed(name: &str, edges_per_sec: f64) -> Value {
+        json::parse(&format!(
+            r#"{{"schema": "{}", "git_rev": "x", "mode": "full",
+                "scenarios": [{{"name": "{name}", "stream": "holme_kim",
+                    "weight": "triangle", "capacity": 2000, "edges": 1000,
+                    "compact": {{"elapsed_ns": 1, "ns_per_edge": 1,
+                        "edges_per_sec": {edges_per_sec}}}}}]}}"#,
+            perf::SCHEMA
+        ))
+        .expect("test document parses")
+    }
+
+    #[test]
+    fn check_reports_a_vacuous_comparison() {
+        // The committed file names a scenario the current grid does not
+        // measure, so nothing is compared: that must fail, not pass.
+        let doc = committed("rmat/uniform/m7", 1e6);
+        assert!(perf::validate_baseline(&doc).is_empty());
+        let failures = check_against(&doc, &[measured(2_000, 1e6)], 0.5);
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("compared nothing"), "{failures:?}");
+    }
+
+    #[test]
+    fn check_enforces_the_compact_floor() {
+        let doc = committed("holme_kim/triangle/m2000", 1e6);
+        assert!(check_against(&doc, &[measured(2_000, 0.6e6)], 0.5).is_empty());
+        let failures = check_against(&doc, &[measured(2_000, 0.4e6)], 0.5);
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("regression"), "{failures:?}");
+    }
 }

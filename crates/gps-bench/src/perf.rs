@@ -2,30 +2,27 @@
 //! `bench_baseline` binary and the committed `BENCH_PR2.json` trajectory.
 //!
 //! Each [`Scenario`] is a full-stream sampling run: weight function ×
-//! synthetic stream × reservoir capacity. Every scenario is measured on
-//! *both* adjacency backends ([`BackendKind::Compact`] and the pre-refactor
-//! [`BackendKind::HashMap`]) in the same process, so the reported speedup is
-//! an apples-to-apples number on the machine that produced the file.
-//! Timing takes the best of `iters` runs (minimum wall time — the standard
-//! way to suppress scheduler noise for CPU-bound loops); stream generation
-//! and sampler construction are untimed.
+//! synthetic stream × reservoir capacity, on the sampler's
+//! `CompactAdjacency` store (the `compact` measurement of the JSON
+//! document). Timing takes the best of `iters` runs (minimum wall time —
+//! the standard way to suppress scheduler noise for CPU-bound loops);
+//! stream generation and sampler construction are untimed.
 //!
-//! Since the baselines port, the same both-backends protocol extends to the
-//! ported `gps-baselines` samplers ([`run_baselines`]): each store-based
-//! baseline is timed on its compact and nested-hash substrate, keeping the
-//! paper's Table 2 update-cost comparison a pure algorithm measurement.
+//! The same protocol extends to the `gps-baselines` samplers
+//! ([`run_baselines`]): the update-cost half of the paper's Table 2, on the
+//! same adjacency store as GPS so it stays a pure algorithm measurement.
 //!
 //! [`run_engine`] adds the sharded-ingest scaling grid: the `gps-engine`
 //! `ShardedGps` at `S ∈ {1, 2, 4, 8}` shards over a fixed total budget on
 //! the triangle-weight Holme–Kim scenario (optional `engine` section of
-//! the JSON document; schema unchanged).
+//! the JSON document).
 //!
 //! [`run_chaos`] adds the fault-injection grid: a scripted mid-stream
 //! crash + checkpoint restore at `S ∈ {2, 4}` (recovery latency measured
 //! externally as faulted-minus-clean wall time, exact loss/restart counts
 //! from the engine's incident ledger) plus a gated serving probe that
 //! counts degraded epochs published while one shard is stalled (optional
-//! `chaos` section; schema unchanged).
+//! `chaos` section).
 
 use crate::json::Value;
 use gps_baselines::{
@@ -36,7 +33,6 @@ use gps_core::weights::{TriadWeight, TriangleWeight, UniformWeight};
 use gps_core::GpsSampler;
 use gps_engine::{EngineConfig, EngineHealth, FaultPlan, ShardedGps};
 use gps_graph::types::Edge;
-use gps_graph::BackendKind;
 use gps_serve::{ClockMode, ServeConfig, ServeEngine};
 use gps_stream::{gen, permuted};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -128,7 +124,7 @@ impl Scenario {
     }
 }
 
-/// Timing result of one scenario on one backend.
+/// Timing result of one scenario.
 #[derive(Clone, Copy, Debug)]
 pub struct Measurement {
     /// Best-of-iters wall time for the full stream, in nanoseconds.
@@ -139,24 +135,15 @@ pub struct Measurement {
     pub edges_per_sec: f64,
 }
 
-/// A scenario measured on both backends.
+/// A measured scenario.
 #[derive(Clone, Debug)]
 pub struct ScenarioResult {
     /// The configuration.
     pub scenario: Scenario,
     /// Edges in the stream (arrivals processed per run).
     pub edges: usize,
-    /// Compact (post-refactor) backend numbers.
+    /// Sampler throughput on the compact adjacency.
     pub compact: Measurement,
-    /// Hash-map (pre-refactor) backend numbers.
-    pub hashmap: Measurement,
-}
-
-impl ScenarioResult {
-    /// Compact-over-hashmap throughput ratio.
-    pub fn speedup(&self) -> f64 {
-        self.compact.edges_per_sec / self.hashmap.edges_per_sec
-    }
 }
 
 /// Harness configuration.
@@ -164,7 +151,7 @@ impl ScenarioResult {
 pub struct PerfConfig {
     /// Reduced streams/capacities for CI smoke runs.
     pub quick: bool,
-    /// Timed repetitions per (scenario, backend); the minimum is reported.
+    /// Timed repetitions per scenario; the minimum is reported.
     pub iters: usize,
     /// Stream / sampler seed.
     pub seed: u64,
@@ -192,11 +179,10 @@ pub fn capacities(quick: bool) -> [usize; 2] {
 fn time_once<W: gps_core::weights::EdgeWeight + Copy>(
     edges: &[Edge],
     capacity: usize,
-    backend: BackendKind,
     weight_fn: W,
     seed: u64,
 ) -> u128 {
-    let mut sampler = GpsSampler::with_backend(capacity, weight_fn, seed, backend);
+    let mut sampler = GpsSampler::new(capacity, weight_fn, seed);
     let start = Instant::now();
     for &e in edges {
         sampler.process(e);
@@ -215,67 +201,31 @@ fn to_measurement(best_ns: u128, edges: usize) -> Measurement {
     }
 }
 
-/// Times both backends with **interleaved** iterations (C, H, C, H, …) so
-/// clock-frequency drift and noisy neighbors bias neither arm, reporting
-/// each arm's best run.
-fn time_pair<W: gps_core::weights::EdgeWeight + Copy>(
+/// Best-of-`iters` sampler run over the whole stream.
+fn time_best<W: gps_core::weights::EdgeWeight + Copy>(
     edges: &[Edge],
     capacity: usize,
     weight_fn: W,
     seed: u64,
     iters: usize,
-) -> (Measurement, Measurement) {
-    let mut best_compact = u128::MAX;
-    let mut best_hashmap = u128::MAX;
-    for _ in 0..iters.max(1) {
-        best_compact = best_compact.min(time_once(
-            edges,
-            capacity,
-            BackendKind::Compact,
-            weight_fn,
-            seed,
-        ));
-        best_hashmap = best_hashmap.min(time_once(
-            edges,
-            capacity,
-            BackendKind::HashMap,
-            weight_fn,
-            seed,
-        ));
-    }
-    (
-        to_measurement(best_compact, edges.len()),
-        to_measurement(best_hashmap, edges.len()),
-    )
+) -> Measurement {
+    let best = (0..iters.max(1))
+        .map(|_| time_once(edges, capacity, weight_fn, seed))
+        .min()
+        .expect("at least one iteration");
+    to_measurement(best, edges.len())
 }
 
-fn measure_pair(
-    edges: &[Edge],
-    scenario: Scenario,
-    cfg: &PerfConfig,
-) -> (Measurement, Measurement) {
+fn measure(edges: &[Edge], scenario: Scenario, cfg: &PerfConfig) -> Measurement {
+    let (m, seed, iters) = (scenario.capacity, cfg.seed, cfg.iters);
     match scenario.weight {
-        WeightKind::Uniform => {
-            time_pair(edges, scenario.capacity, UniformWeight, cfg.seed, cfg.iters)
-        }
-        WeightKind::Triangle => time_pair(
-            edges,
-            scenario.capacity,
-            TriangleWeight::default(),
-            cfg.seed,
-            cfg.iters,
-        ),
-        WeightKind::Triad => time_pair(
-            edges,
-            scenario.capacity,
-            TriadWeight::default(),
-            cfg.seed,
-            cfg.iters,
-        ),
+        WeightKind::Uniform => time_best(edges, m, UniformWeight, seed, iters),
+        WeightKind::Triangle => time_best(edges, m, TriangleWeight::default(), seed, iters),
+        WeightKind::Triad => time_best(edges, m, TriadWeight::default(), seed, iters),
     }
 }
 
-/// Runs the full scenario grid (streams × weights × capacities × backends),
+/// Runs the full scenario grid (streams × weights × capacities),
 /// invoking `progress` with each finished scenario.
 pub fn run_all(cfg: &PerfConfig, mut progress: impl FnMut(&ScenarioResult)) -> Vec<ScenarioResult> {
     let mut results = Vec::new();
@@ -288,12 +238,10 @@ pub fn run_all(cfg: &PerfConfig, mut progress: impl FnMut(&ScenarioResult)) -> V
                     weight,
                     capacity,
                 };
-                let (compact, hashmap) = measure_pair(&edges, scenario, cfg);
                 let result = ScenarioResult {
                     scenario,
                     edges: edges.len(),
-                    compact,
-                    hashmap,
+                    compact: measure(&edges, scenario, cfg),
                 };
                 progress(&result);
                 results.push(result);
@@ -303,8 +251,8 @@ pub fn run_all(cfg: &PerfConfig, mut progress: impl FnMut(&ScenarioResult)) -> V
     results
 }
 
-/// A ported baseline sampler timed on both adjacency backends over one
-/// full stream (same best-of-iters, interleaved protocol as the GPS grid).
+/// A `gps-baselines` sampler timed over one full stream (same
+/// best-of-iters protocol as the GPS grid).
 #[derive(Clone, Debug)]
 pub struct BaselineResult {
     /// Estimator display name (e.g. `TRIEST`).
@@ -315,17 +263,8 @@ pub struct BaselineResult {
     pub capacity: usize,
     /// Edges in the stream (arrivals processed per run).
     pub edges: usize,
-    /// Compact-backend numbers.
+    /// Estimator throughput on the compact adjacency.
     pub compact: Measurement,
-    /// Hash-map-backend numbers.
-    pub hashmap: Measurement,
-}
-
-impl BaselineResult {
-    /// Compact-over-hashmap throughput ratio.
-    pub fn speedup(&self) -> f64 {
-        self.compact.edges_per_sec / self.hashmap.edges_per_sec
-    }
 }
 
 fn time_estimator(edges: &[Edge], mut est: Box<dyn TriangleEstimator>) -> u128 {
@@ -338,11 +277,9 @@ fn time_estimator(edges: &[Edge], mut est: Box<dyn TriangleEstimator>) -> u128 {
     elapsed
 }
 
-/// Times the ported `gps-baselines` samplers on both adjacency backends:
-/// the update-cost half of the paper's Table 2, with the data structure
-/// held as an explicit axis. NSAMP is excluded — it keeps no adjacency, so
-/// it has no backend axis (its cost is covered by the criterion
-/// `baselines` bench).
+/// Times the store-based `gps-baselines` samplers: the update-cost half
+/// of the paper's Table 2. NSAMP is excluded — it keeps no adjacency (its
+/// cost is covered by the criterion `baselines` bench).
 pub fn run_baselines(
     cfg: &PerfConfig,
     mut progress: impl FnMut(&BaselineResult),
@@ -351,44 +288,38 @@ pub fn run_baselines(
     let m = if cfg.quick { 500 } else { 8_000 };
     let p = (m as f64 / edges.len() as f64).min(1.0);
     let seed = cfg.seed;
-    type Factory<'a> = Box<dyn Fn(BackendKind) -> Box<dyn TriangleEstimator> + 'a>;
+    type Factory<'a> = Box<dyn Fn() -> Box<dyn TriangleEstimator> + 'a>;
     let factories: Vec<(&'static str, Factory)> = vec![
         (
             "triest",
-            Box::new(move |b| Box::new(TriestBase::with_backend(m, seed, b))),
+            Box::new(move || Box::new(TriestBase::new(m, seed))),
         ),
         (
             "triest_impr",
-            Box::new(move |b| Box::new(TriestImpr::with_backend(m, seed, b))),
+            Box::new(move || Box::new(TriestImpr::new(m, seed))),
         ),
-        (
-            "mascot",
-            Box::new(move |b| Box::new(Mascot::with_backend(p, seed, b))),
-        ),
+        ("mascot", Box::new(move || Box::new(Mascot::new(p, seed)))),
         (
             "jha",
-            Box::new(move |b| Box::new(JhaWedgeSampler::with_backend(m, (m / 8).max(16), seed, b))),
+            Box::new(move || Box::new(JhaWedgeSampler::new(m, (m / 8).max(16), seed))),
         ),
         (
             "uniform_reservoir",
-            Box::new(move |b| Box::new(UniformReservoir::with_backend(m, seed, b))),
+            Box::new(move || Box::new(UniformReservoir::new(m, seed))),
         ),
     ];
     let mut results = Vec::new();
     for (name, factory) in &factories {
-        let mut best_compact = u128::MAX;
-        let mut best_hashmap = u128::MAX;
-        for _ in 0..cfg.iters.max(1) {
-            best_compact = best_compact.min(time_estimator(&edges, factory(BackendKind::Compact)));
-            best_hashmap = best_hashmap.min(time_estimator(&edges, factory(BackendKind::HashMap)));
-        }
+        let best = (0..cfg.iters.max(1))
+            .map(|_| time_estimator(&edges, factory()))
+            .min()
+            .expect("at least one iteration");
         let result = BaselineResult {
-            name: factory(BackendKind::Compact).name(),
+            name: factory().name(),
             scenario: format!("baseline/{name}/m{m}"),
             capacity: m,
             edges: edges.len(),
-            compact: to_measurement(best_compact, edges.len()),
-            hashmap: to_measurement(best_hashmap, edges.len()),
+            compact: to_measurement(best, edges.len()),
         };
         progress(&result);
         results.push(result);
@@ -981,7 +912,7 @@ fn round2(x: f64) -> f64 {
 }
 
 /// Schema tag checked by the CI smoke run.
-pub const SCHEMA: &str = "gps-bench/bench-baseline/v1";
+pub const SCHEMA: &str = "gps-bench/bench-baseline/v2";
 
 /// The optional grids of a baseline document, bundled for
 /// [`results_json`]. Each defaults to empty, and an empty grid's key is
@@ -1046,8 +977,6 @@ pub fn results_json(
                             ("capacity", Value::Number(r.scenario.capacity as f64)),
                             ("edges", Value::Number(r.edges as f64)),
                             ("compact", measurement_json(&r.compact)),
-                            ("hashmap", measurement_json(&r.hashmap)),
-                            ("speedup", Value::Number(round2(r.speedup()))),
                         ])
                     })
                     .collect(),
@@ -1067,8 +996,6 @@ pub fn results_json(
                             ("capacity", Value::Number(r.capacity as f64)),
                             ("edges", Value::Number(r.edges as f64)),
                             ("compact", measurement_json(&r.compact)),
-                            ("hashmap", measurement_json(&r.hashmap)),
-                            ("speedup", Value::Number(round2(r.speedup()))),
                         ])
                     })
                     .collect(),
@@ -1330,9 +1257,8 @@ pub fn results_json(
 }
 
 /// Fields every scenario entry of a baseline document must carry.
-pub const REQUIRED_SCENARIO_FIELDS: [&str; 8] = [
-    "name", "stream", "weight", "capacity", "edges", "compact", "hashmap", "speedup",
-];
+pub const REQUIRED_SCENARIO_FIELDS: [&str; 6] =
+    ["name", "stream", "weight", "capacity", "edges", "compact"];
 
 /// Validates a parsed baseline document's shape. Returns the list of
 /// problems (empty = valid).
@@ -1364,10 +1290,10 @@ pub fn validate_baseline(doc: &Value) -> Vec<String> {
         validate_measurements(s, &format!("scenario {i}"), &mut problems);
     }
     // Optional section (absent in documents predating the baselines port):
-    // the ported gps-baselines grid, same per-backend measurement shape.
+    // the gps-baselines grid, same measurement shape as the scenarios.
     if let Some(baselines) = doc.get("baseline_samplers").and_then(Value::as_array) {
         for (i, s) in baselines.iter().enumerate() {
-            for field in ["name", "method", "capacity", "edges", "compact", "hashmap"] {
+            for field in ["name", "method", "capacity", "edges", "compact"] {
                 if s.get(field).is_none() {
                     problems.push(format!("baseline {i} missing '{field}'"));
                 }
@@ -1660,9 +1586,9 @@ pub fn validate_baseline(doc: &Value) -> Vec<String> {
     problems
 }
 
-/// Checks the `compact`/`hashmap` measurement objects of one entry.
+/// Checks the `compact` measurement object of one entry.
 fn validate_measurements(entry: &Value, what: &str, problems: &mut Vec<String>) {
-    validate_measurement_objects(entry, &["compact", "hashmap"], what, problems);
+    validate_measurement_objects(entry, &["compact"], what, problems);
 }
 
 /// Checks the named measurement objects of one entry (those present; the
@@ -1673,13 +1599,13 @@ fn validate_measurement_objects(
     what: &str,
     problems: &mut Vec<String>,
 ) {
-    for backend in keys {
-        if let Some(m) = entry.get(backend) {
+    for key in keys {
+        if let Some(m) = entry.get(key) {
             for field in ["elapsed_ns", "ns_per_edge", "edges_per_sec"] {
                 match m.get_f64(field) {
                     Some(x) if x > 0.0 => {}
-                    Some(_) => problems.push(format!("{what} {backend}.{field} is not positive")),
-                    None => problems.push(format!("{what} {backend} missing '{field}'")),
+                    Some(_) => problems.push(format!("{what} {key}.{field} is not positive")),
+                    None => problems.push(format!("{what} {key} missing '{field}'")),
                 }
             }
         }
@@ -1729,12 +1655,11 @@ mod tests {
             weight: WeightKind::Uniform,
             capacity: 128,
         };
-        let (compact, hashmap) = measure_pair(&edges, scenario, &cfg);
+        let compact = measure(&edges, scenario, &cfg);
         let result = ScenarioResult {
             scenario,
             edges: edges.len(),
             compact,
-            hashmap,
         };
         // Without the optional sections (the committed-file shape)…
         let doc = results_json(
@@ -1760,7 +1685,6 @@ mod tests {
             capacity: 128,
             edges: edges.len(),
             compact,
-            hashmap,
         };
         let engine = [1usize, 2]
             .map(|shards| EngineResult {
@@ -1961,7 +1885,7 @@ mod tests {
     fn validation_catches_malformed_telemetry() {
         let doc = json::parse(
             r#"{
-                "schema": "gps-bench/bench-baseline/v1",
+                "schema": "gps-bench/bench-baseline/v2",
                 "git_rev": "deadbeef",
                 "mode": "quick",
                 "scenarios": [],
@@ -2031,7 +1955,7 @@ mod tests {
     fn validation_catches_malformed_trace() {
         let doc = json::parse(
             r#"{
-                "schema": "gps-bench/bench-baseline/v1",
+                "schema": "gps-bench/bench-baseline/v2",
                 "git_rev": "deadbeef",
                 "mode": "quick",
                 "scenarios": [],
@@ -2134,7 +2058,7 @@ mod tests {
     }
 
     #[test]
-    fn ported_baseline_grid_measures_both_backends() {
+    fn ported_baseline_grid_measures_every_sampler() {
         let cfg = tiny_cfg();
         let mut seen = 0;
         let results = run_baselines(&cfg, |_| seen += 1);
@@ -2142,30 +2066,33 @@ mod tests {
         assert_eq!(seen, 5);
         for r in &results {
             assert!(r.compact.edges_per_sec > 0.0);
-            assert!(r.hashmap.edges_per_sec > 0.0);
-            assert!(r.speedup() > 0.0);
             assert!(r.scenario.starts_with("baseline/"));
         }
     }
 
     #[test]
     fn validation_catches_missing_fields() {
-        let doc = json::parse(r#"{"schema": "gps-bench/bench-baseline/v1"}"#).unwrap();
+        let doc = json::parse(r#"{"schema": "gps-bench/bench-baseline/v2"}"#).unwrap();
         let problems = validate_baseline(&doc);
         assert!(problems.iter().any(|p| p.contains("scenarios")));
         assert!(problems.iter().any(|p| p.contains("git_rev")));
 
+        // A v1 document (with the retired hash-map arm) is another schema.
+        let doc = json::parse(r#"{"schema": "gps-bench/bench-baseline/v1"}"#).unwrap();
+        let problems = validate_baseline(&doc);
+        assert!(problems.iter().any(|p| p.contains("unexpected schema")));
+
         let doc = json::parse(
-            r#"{"schema": "gps-bench/bench-baseline/v1", "git_rev": "x", "mode": "full",
+            r#"{"schema": "gps-bench/bench-baseline/v2", "git_rev": "x", "mode": "full",
                 "scenarios": [{"name": "a", "compact": {"elapsed_ns": 0}}]}"#,
         )
         .unwrap();
         let problems = validate_baseline(&doc);
-        assert!(problems.iter().any(|p| p.contains("missing 'hashmap'")));
+        assert!(problems.iter().any(|p| p.contains("missing 'stream'")));
         assert!(problems.iter().any(|p| p.contains("not positive")));
 
         let doc = json::parse(
-            r#"{"schema": "gps-bench/bench-baseline/v1", "git_rev": "x", "mode": "full",
+            r#"{"schema": "gps-bench/bench-baseline/v2", "git_rev": "x", "mode": "full",
                 "scenarios": [],
                 "baseline_samplers": [{"name": "baseline/triest/m8"}]}"#,
         )
@@ -2176,7 +2103,7 @@ mod tests {
             .any(|p| p.contains("baseline 0 missing 'method'")));
 
         let doc = json::parse(
-            r#"{"schema": "gps-bench/bench-baseline/v1", "git_rev": "x", "mode": "full",
+            r#"{"schema": "gps-bench/bench-baseline/v2", "git_rev": "x", "mode": "full",
                 "scenarios": [],
                 "serve": {"stream": "holme_kim",
                           "readers": [{"readers": -1, "elapsed_ns": 5}]}}"#,
@@ -2197,7 +2124,7 @@ mod tests {
             .any(|p| p.contains("serve entry 0 missing 'edges_per_sec'")));
 
         let doc = json::parse(
-            r#"{"schema": "gps-bench/bench-baseline/v1", "git_rev": "x", "mode": "full",
+            r#"{"schema": "gps-bench/bench-baseline/v2", "git_rev": "x", "mode": "full",
                 "scenarios": [],
                 "engine": {"stream": "holme_kim",
                            "shards": [{"shards": 0, "elapsed_ns": -1}]}}"#,
@@ -2218,7 +2145,7 @@ mod tests {
             .any(|p| p.contains("engine entry 0 missing 'edges_per_sec'")));
 
         let doc = json::parse(
-            r#"{"schema": "gps-bench/bench-baseline/v1", "git_rev": "x", "mode": "full",
+            r#"{"schema": "gps-bench/bench-baseline/v2", "git_rev": "x", "mode": "full",
                 "scenarios": [],
                 "chaos": {"stream": "holme_kim",
                           "shards": [{"shards": 2, "restarts": 0,
@@ -2250,7 +2177,7 @@ mod tests {
             .any(|p| p.contains("chaos entry 0 degraded_epochs is negative")));
 
         let doc = json::parse(
-            r#"{"schema": "gps-bench/bench-baseline/v1", "git_rev": "x", "mode": "full",
+            r#"{"schema": "gps-bench/bench-baseline/v2", "git_rev": "x", "mode": "full",
                 "scenarios": [],
                 "sim": {"points": [{"shards": 16, "skew": "hash",
                                     "tree_identical": 0, "tri_are": -0.5}]}}"#,

@@ -135,9 +135,10 @@ impl TriadEstimates {
         TriadEstimates::from_parts(triangles, wedges, cov)
     }
 
-    /// Merges per-color estimates from an `S`-way random edge coloring (one
-    /// entry per color, e.g. one per `gps-engine` shard) into *global*
-    /// estimates with **honest `S > 1` variances**.
+    /// Merges per-color estimates from a `total`-way (`S`-way) random edge
+    /// coloring (one entry per reporting color, e.g. one per `gps-engine`
+    /// shard, in color order) into *global* estimates with **honest
+    /// `S > 1` variances**.
     ///
     /// Point estimates are the colorful-counting merge: the strata sum
     /// rescaled by the monochromacy factors `S²` (triangles, 3 edges), `S`
@@ -168,70 +169,62 @@ impl TriadEstimates {
     /// covariance *tightens* the delta-method clustering variance, so
     /// omitting it errs conservative.
     ///
-    /// With one part this degenerates bit-for-bit to [`merged_strata`]
-    /// (factors of 1, no between term) — the `S = 1` engine stays
-    /// bit-identical to a bare sampler.
+    /// **Degraded epochs.** When only `parts.len() = k < S = total` colors
+    /// reported (some shards crashed, stalled, or not yet recovered), each
+    /// reporting color alone still yields an unbiased *global* estimate
+    /// (`S³·t̂_i` triangles, `S²·ŵ_i` wedges); the merged value is the mean
+    /// of the reporting colors' global estimates — still unbiased, since
+    /// colors are exchangeable under the random edge coloring, at the cost
+    /// of averaging over fewer strata (variances grow by roughly `S/k`).
+    /// Variances keep the `max(conditional, empirical)` structure with the
+    /// conditional term rescaled by `S⁶/k²` (triangles), `S⁴/k²` (wedges),
+    /// and the covariance by `S⁵/k²`. A full epoch (`k = S`) takes the
+    /// plain colorful rescale above, so routing every epoch through here
+    /// leaves full epochs unchanged.
+    ///
+    /// **Leaf order.** f64 addition is not associative, so callers that
+    /// collect parts through aggregators (the S ≫ cores deployment shape)
+    /// must hand over the per-leaf estimates in leaf order and must *not*
+    /// pre-merge a subtree into one `TriadEstimates` — that would
+    /// re-associate the strata sums and the between-shard
+    /// `variance_of_mean`, and apply partial-color factors before `S` is
+    /// known. The `gps-sim` scale-out testbed pins the resulting
+    /// bit-identity at S ∈ {16, 64, 256}.
+    ///
+    /// With one part of one color this degenerates bit-for-bit to
+    /// [`merged_strata`] (factors of 1, no between term) — the `S = 1`
+    /// engine stays bit-identical to a bare sampler.
     ///
     /// [`merged_strata`]: TriadEstimates::merged_strata
-    pub fn merged_colored(parts: &[TriadEstimates]) -> TriadEstimates {
-        assert!(!parts.is_empty(), "need at least one color");
-        let s = parts.len() as f64;
-        let merged = Self::merged_strata(parts.iter().copied());
-        let triangles = merged.triangles.scaled(s * s);
-        let wedges = merged.wedges.scaled(s);
-        let cov = merged.tri_wedge_cov * s * s * s;
-        if parts.len() == 1 {
-            return Self::from_parts(triangles, wedges, cov);
-        }
-        let tri_between = variance_of_mean(parts.iter().map(|p| p.triangles.value * s * s * s));
-        let wedge_between = variance_of_mean(parts.iter().map(|p| p.wedges.value * s * s));
-        Self::from_parts(
-            Estimate {
-                value: triangles.value,
-                variance: triangles.variance.max(tri_between),
-            },
-            Estimate {
-                value: wedges.value,
-                variance: wedges.variance.max(wedge_between),
-            },
-            cov,
-        )
-    }
-
-    /// [`merged_colored`] when only `parts.len()` of the `total` colors
-    /// reported (a degraded epoch: some shards are crashed, stalled, or not
-    /// yet recovered).
-    ///
-    /// Each reporting color alone yields an unbiased *global* estimate
-    /// (`S³·t̂_i` triangles, `S²·ŵ_i` wedges, with `S = total`); the merged
-    /// value is the mean of the reporting colors' global estimates —
-    /// still unbiased, since colors are exchangeable under the random edge
-    /// coloring, at the cost of averaging over fewer strata (variances grow
-    /// by roughly `S/k`). Variances keep the `max(conditional, empirical)`
-    /// structure of [`merged_colored`] with the conditional term rescaled by
-    /// `S⁶/k²` (triangles), `S⁴/k²` (wedges), and the covariance by `S⁵/k²`.
-    ///
-    /// With `parts.len() == total` this delegates to [`merged_colored`]
-    /// bit-for-bit, so full epochs are unchanged by routing through here.
-    ///
-    /// [`merged_colored`]: TriadEstimates::merged_colored
-    pub fn merged_colored_partial(parts: &[TriadEstimates], total: usize) -> TriadEstimates {
+    pub fn merged_colored(parts: &[TriadEstimates], total: usize) -> TriadEstimates {
         assert!(!parts.is_empty(), "need at least one reporting color");
         assert!(
             parts.len() <= total,
             "more reporting colors than the coloring has"
         );
-        if parts.len() == total {
-            return Self::merged_colored(parts);
-        }
-        let k = parts.len() as f64;
         let s = total as f64;
-        let s3 = s * s * s;
         let merged = Self::merged_strata(parts.iter().copied());
-        let triangles = merged.triangles.scaled(s3 / k);
-        let wedges = merged.wedges.scaled(s * s / k);
-        let cov = merged.tri_wedge_cov * s3 * s * s / (k * k);
-        let tri_between = variance_of_mean(parts.iter().map(|p| p.triangles.value * s3));
+        // At k = S both arms agree in exact arithmetic, but they round
+        // differently (`x·s·s·s` vs `x·s³`); each keeps its own order so
+        // full and degraded epochs stay bit-identical to their pinned runs.
+        let (triangles, wedges, cov, tri_between) = if parts.len() == total {
+            let triangles = merged.triangles.scaled(s * s);
+            let wedges = merged.wedges.scaled(s);
+            let cov = merged.tri_wedge_cov * s * s * s;
+            if total == 1 {
+                return Self::from_parts(triangles, wedges, cov);
+            }
+            let tri_between = variance_of_mean(parts.iter().map(|p| p.triangles.value * s * s * s));
+            (triangles, wedges, cov, tri_between)
+        } else {
+            let k = parts.len() as f64;
+            let s3 = s * s * s;
+            let triangles = merged.triangles.scaled(s3 / k);
+            let wedges = merged.wedges.scaled(s * s / k);
+            let cov = merged.tri_wedge_cov * s3 * s * s / (k * k);
+            let tri_between = variance_of_mean(parts.iter().map(|p| p.triangles.value * s3));
+            (triangles, wedges, cov, tri_between)
+        };
         let wedge_between = variance_of_mean(parts.iter().map(|p| p.wedges.value * s * s));
         Self::from_parts(
             Estimate {
@@ -244,47 +237,6 @@ impl TriadEstimates {
             },
             cov,
         )
-    }
-
-    /// Two-level merge of per-color estimates routed through `K`
-    /// aggregator groups (the S ≫ cores deployment shape: each aggregator
-    /// collects a contiguous range of leaf shards and forwards them to the
-    /// root). `groups` holds each aggregator's leaves **in leaf order**,
-    /// groups themselves ordered by their first leaf; the result is the
-    /// flat [`merged_colored`] over the ordered concatenation —
-    /// **bit-identical** to a single-level merge of the same leaves.
-    ///
-    /// The design constraint this encodes: f64 addition is not
-    /// associative, so aggregators must *not* pre-merge their subtree into
-    /// one `TriadEstimates` (the strata sums and the between-shard
-    /// `variance_of_mean` would be re-associated, and the partial-color
-    /// rescale factors would be wrong before the root knows `S`).
-    /// Aggregators are a communication topology — they batch and forward
-    /// per-leaf estimates — and only the root does arithmetic, in leaf
-    /// order. The `gps-sim` scale-out testbed pins this identity at
-    /// S ∈ {16, 64, 256}.
-    ///
-    /// [`merged_colored`]: TriadEstimates::merged_colored
-    pub fn merged_colored_tree(groups: &[&[TriadEstimates]]) -> TriadEstimates {
-        let leaves: Vec<TriadEstimates> = groups.iter().flat_map(|g| g.iter().copied()).collect();
-        Self::merged_colored(&leaves)
-    }
-
-    /// [`merged_colored_tree`] when only some leaves reported (degraded
-    /// epochs in a tree deployment): the ordered concatenation of the
-    /// reporting leaves is handed to [`merged_colored_partial`] with the
-    /// full coloring size `total`. With every leaf reporting this is
-    /// bit-identical to [`merged_colored_tree`], which is in turn
-    /// bit-identical to the flat merge.
-    ///
-    /// [`merged_colored_tree`]: TriadEstimates::merged_colored_tree
-    /// [`merged_colored_partial`]: TriadEstimates::merged_colored_partial
-    pub fn merged_colored_tree_partial(
-        groups: &[&[TriadEstimates]],
-        total: usize,
-    ) -> TriadEstimates {
-        let leaves: Vec<TriadEstimates> = groups.iter().flat_map(|g| g.iter().copied()).collect();
-        Self::merged_colored_partial(&leaves, total)
     }
 
     /// Widens the confidence intervals to account for a known fraction of
@@ -535,7 +487,7 @@ mod tests {
             },
             0.75,
         );
-        let m = TriadEstimates::merged_colored(&[a]);
+        let m = TriadEstimates::merged_colored(&[a], 1);
         assert_eq!(m.triangles.value.to_bits(), a.triangles.value.to_bits());
         assert_eq!(
             m.triangles.variance.to_bits(),
@@ -571,7 +523,7 @@ mod tests {
                 1.5,
             ),
         ];
-        let m = TriadEstimates::merged_colored(&parts);
+        let m = TriadEstimates::merged_colored(&parts, parts.len());
         // Point estimates: S²·Σt̂ and S·Σŵ, exactly as the engine's plain
         // rescale produced them.
         assert_eq!(m.triangles.value, 4.0 * 10.0);
@@ -603,13 +555,13 @@ mod tests {
             },
             1.0,
         );
-        let m = TriadEstimates::merged_colored(&[part, part]);
+        let m = TriadEstimates::merged_colored(&[part, part], 2);
         assert_eq!(m.triangles.variance, 16.0 * 4.0);
         assert_eq!(m.wedges.variance, 4.0 * 6.0);
     }
 
     #[test]
-    fn merged_colored_partial_full_set_is_bit_identical_to_merged_colored() {
+    fn merged_colored_full_set_matches_the_degraded_formula() {
         let parts = [
             TriadEstimates::from_parts(
                 Estimate {
@@ -634,8 +586,28 @@ mod tests {
                 1.5,
             ),
         ];
-        let full = TriadEstimates::merged_colored(&parts);
-        let partial = TriadEstimates::merged_colored_partial(&parts, 2);
+        // The degraded-epoch formula (S³/k, S⁴/k², S⁵/k² factors) applied
+        // by hand to the full set agrees bit-for-bit with the full-epoch
+        // rescale merged_colored takes when every color reported.
+        let full = TriadEstimates::merged_colored(&parts, 2);
+        let (s, k) = (2.0f64, 2.0f64);
+        let s3 = s * s * s;
+        let strata = TriadEstimates::merged_strata(parts.iter().copied());
+        let tri_between = variance_of_mean(parts.iter().map(|p| p.triangles.value * s3));
+        let wedge_between = variance_of_mean(parts.iter().map(|p| p.wedges.value * s * s));
+        let triangles = strata.triangles.scaled(s3 / k);
+        let wedges = strata.wedges.scaled(s * s / k);
+        let partial = TriadEstimates::from_parts(
+            Estimate {
+                value: triangles.value,
+                variance: triangles.variance.max(tri_between),
+            },
+            Estimate {
+                value: wedges.value,
+                variance: wedges.variance.max(wedge_between),
+            },
+            strata.tri_wedge_cov * s3 * s * s / (k * k),
+        );
         assert_eq!(
             full.triangles.value.to_bits(),
             partial.triangles.value.to_bits()
@@ -656,7 +628,7 @@ mod tests {
     }
 
     #[test]
-    fn merged_colored_partial_extrapolates_one_of_four_colors() {
+    fn merged_colored_extrapolates_one_of_four_colors() {
         // One reporting color out of S = 4: t̂ = 2 with v̂ = 0.5 →
         // value S³·t̂ = 128, conditional variance S⁶·v̂ = 2048 (no
         // between-term with k = 1).
@@ -671,7 +643,7 @@ mod tests {
             },
             0.25,
         );
-        let m = TriadEstimates::merged_colored_partial(&[part], 4);
+        let m = TriadEstimates::merged_colored(&[part], 4);
         assert_eq!(m.triangles.value, 128.0);
         assert_eq!(m.triangles.variance, 2048.0);
         // Wedges: S²·ŵ = 192, S⁴·v̂ = 256. Covariance: S⁵·ĉ = 256.
@@ -681,7 +653,7 @@ mod tests {
     }
 
     #[test]
-    fn merged_colored_partial_two_of_four_averages_per_color_globals() {
+    fn merged_colored_two_of_four_averages_per_color_globals() {
         let parts = [
             TriadEstimates::from_parts(
                 Estimate {
@@ -706,75 +678,13 @@ mod tests {
                 0.0,
             ),
         ];
-        let m = TriadEstimates::merged_colored_partial(&parts, 4);
+        let m = TriadEstimates::merged_colored(&parts, 4);
         // Mean of per-color globals S³·t̂ ∈ {128, 256} → 192; conditional
         // S⁶/k²·Σv̂ = 4096/4·1 = 1024, between Σ(x−x̄)²/(k(k−1)) = 4096.
         assert_eq!(m.triangles.value, 192.0);
         assert_eq!(m.triangles.variance, 4096.0);
         // Wedges: mean of S²·ŵ ∈ {192, 320} → 256.
         assert_eq!(m.wedges.value, 256.0);
-    }
-
-    /// A bundle with distinct, order-sensitive float values per index.
-    fn synthetic_parts(n: usize) -> Vec<TriadEstimates> {
-        (0..n)
-            .map(|i| {
-                let x = 1.0 + (i as f64) * 0.377;
-                TriadEstimates::from_parts(
-                    Estimate {
-                        value: x,
-                        variance: 0.1 + x / 7.0,
-                    },
-                    Estimate {
-                        value: 6.0 * x,
-                        variance: 0.2 + x / 3.0,
-                    },
-                    x / 11.0,
-                )
-            })
-            .collect()
-    }
-
-    fn assert_bits_eq(a: &TriadEstimates, b: &TriadEstimates) {
-        assert_eq!(a.triangles.value.to_bits(), b.triangles.value.to_bits());
-        assert_eq!(
-            a.triangles.variance.to_bits(),
-            b.triangles.variance.to_bits()
-        );
-        assert_eq!(a.wedges.value.to_bits(), b.wedges.value.to_bits());
-        assert_eq!(a.wedges.variance.to_bits(), b.wedges.variance.to_bits());
-        assert_eq!(a.tri_wedge_cov.to_bits(), b.tri_wedge_cov.to_bits());
-    }
-
-    #[test]
-    fn tree_merge_is_bit_identical_to_flat_for_any_grouping() {
-        let parts = synthetic_parts(16);
-        let flat = TriadEstimates::merged_colored(&parts);
-        // Uneven aggregator fan-ins, leaves kept in leaf order.
-        for splits in [vec![8, 8], vec![4, 4, 4, 4], vec![1, 15], vec![5, 6, 5]] {
-            let mut groups: Vec<&[TriadEstimates]> = Vec::new();
-            let mut at = 0;
-            for len in splits {
-                groups.push(&parts[at..at + len]);
-                at += len;
-            }
-            let tree = TriadEstimates::merged_colored_tree(&groups);
-            assert_bits_eq(&tree, &flat);
-        }
-    }
-
-    #[test]
-    fn tree_merge_partial_full_set_matches_flat_and_extrapolates_otherwise() {
-        let parts = synthetic_parts(8);
-        let groups: Vec<&[TriadEstimates]> = vec![&parts[..3], &parts[3..]];
-        let full = TriadEstimates::merged_colored_tree_partial(&groups, 8);
-        assert_bits_eq(&full, &TriadEstimates::merged_colored(&parts));
-        // Only the first aggregator's leaves reported out of S = 8.
-        let partial = TriadEstimates::merged_colored_tree_partial(&[&parts[..3]], 8);
-        assert_bits_eq(
-            &partial,
-            &TriadEstimates::merged_colored_partial(&parts[..3], 8),
-        );
     }
 
     #[test]

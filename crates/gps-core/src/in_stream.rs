@@ -90,20 +90,8 @@ impl<W: EdgeWeight> InStreamEstimator<W> {
     /// the paper's experimental setup relies on this to compare post- and
     /// in-stream estimation on identical samples.
     pub fn new(capacity: usize, weight_fn: W, seed: u64) -> Self {
-        Self::with_backend(capacity, weight_fn, seed, gps_graph::BackendKind::Compact)
-    }
-
-    /// [`InStreamEstimator::new`] over a sampler on an explicit adjacency
-    /// backend (see [`GpsSampler::with_backend`]): same-seed runs produce
-    /// bit-identical samples *and* estimates on either backend.
-    pub fn with_backend(
-        capacity: usize,
-        weight_fn: W,
-        seed: u64,
-        backend: gps_graph::BackendKind,
-    ) -> Self {
         InStreamEstimator {
-            sampler: GpsSampler::with_backend(capacity, weight_fn, seed, backend),
+            sampler: GpsSampler::new(capacity, weight_fn, seed),
             n_tri: 0.0,
             v_tri: 0.0,
             n_wedge: 0.0,
@@ -540,14 +528,13 @@ mod tests {
             .edges()
             .map(|s| (s.edge, s.weight, s.priority))
             .collect();
-        let rebuilt = GpsSampler::restore_with_backend(
+        let rebuilt = GpsSampler::restore(
             8,
             TriangleWeight::default(),
             11,
             sampler.threshold(),
             sampler.arrivals(),
             records,
-            sampler.backend(),
         );
         let resumed = InStreamEstimator::resume(rebuilt, state.clone());
         let after = resumed.estimates();

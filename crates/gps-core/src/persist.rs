@@ -152,12 +152,7 @@ impl SavedSample {
     /// resumes *exactly* (accumulators reinstated, estimates bit-identical
     /// at the save watermark); a v1 section falls back to the inexact
     /// post-stream re-seeding of [`InStreamEstimator::from_sampler`].
-    pub fn into_estimator<W: EdgeWeight>(
-        self,
-        weight_fn: W,
-        seed: u64,
-        backend: gps_graph::BackendKind,
-    ) -> InStreamEstimator<W> {
+    pub fn into_estimator<W: EdgeWeight>(self, weight_fn: W, seed: u64) -> InStreamEstimator<W> {
         let SavedSample {
             capacity,
             arrivals,
@@ -165,9 +160,7 @@ impl SavedSample {
             records,
             in_stream,
         } = self;
-        let sampler = GpsSampler::restore_with_backend(
-            capacity, weight_fn, seed, threshold, arrivals, records, backend,
-        );
+        let sampler = GpsSampler::restore(capacity, weight_fn, seed, threshold, arrivals, records);
         match in_stream {
             // The v2 parser guarantees one per-edge entry per record, so
             // `resume`'s length contract holds for any loaded section.
@@ -620,11 +613,7 @@ mod tests {
         save_estimator(&est, &mut buf).unwrap();
         let saved = load(buf.as_slice()).unwrap();
         assert_eq!(saved.in_stream.as_ref(), Some(&state));
-        let restored = saved.into_estimator(
-            TriangleWeight::default(),
-            3,
-            gps_graph::BackendKind::Compact,
-        );
+        let restored = saved.into_estimator(TriangleWeight::default(), 3);
         let after = restored.estimates();
         assert_eq!(
             before.triangles.value.to_bits(),

@@ -16,15 +16,15 @@
 //! Horvitz–Thompson edge estimator.
 //!
 //! Data structures follow the paper §3.2: a binary min-heap over priorities
-//! (O(1) eviction candidate, O(log m) updates) plus a hash adjacency over
-//! the sampled edges so that topology-dependent weights cost
+//! (O(1) eviction candidate, O(log m) updates) plus an adjacency over the
+//! sampled edges ([`CompactAdjacency`]) so that topology-dependent weights cost
 //! `O(min(deĝ(v1), deĝ(v2)))`, and total space is `O(|V̂| + m)`.
 
 use crate::heap::{HeapEntry, MinHeap};
 use crate::slab::{EdgeRecord, Slab, SlotId};
 use crate::weights::EdgeWeight;
 use gps_graph::types::{Edge, NodeId};
-use gps_graph::{AdjacencyBackend, BackendKind};
+use gps_graph::CompactAdjacency;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -71,7 +71,7 @@ pub struct SampledEdge {
 /// Read-only view of the sample, passed to weight functions and estimators.
 pub struct SampleView<'a> {
     slab: &'a Slab,
-    adj: &'a AdjacencyBackend<SlotId>,
+    adj: &'a CompactAdjacency<SlotId>,
     threshold: f64,
 }
 
@@ -254,7 +254,7 @@ pub struct GpsSampler<W> {
     weight_fn: W,
     slab: Slab,
     heap: MinHeap,
-    adj: AdjacencyBackend<SlotId>,
+    adj: CompactAdjacency<SlotId>,
     z_star: f64,
     rng: SmallRng,
     arrivals: u64,
@@ -287,16 +287,15 @@ pub struct SamplerStats {
 
 impl<W: EdgeWeight> GpsSampler<W> {
     /// Creates a sampler with reservoir capacity `m`, a weight function and
-    /// a deterministic RNG seed, on the default compact adjacency backend.
+    /// a deterministic RNG seed.
     ///
     /// ```
     /// use gps_core::{GpsSampler, TriangleWeight};
-    /// use gps_graph::{BackendKind, Edge};
+    /// use gps_graph::Edge;
     ///
     /// let mut sampler = GpsSampler::new(100, TriangleWeight::default(), 42);
     /// sampler.process_stream([Edge::new(0, 1), Edge::new(1, 2), Edge::new(0, 2)]);
     /// assert_eq!(sampler.len(), 3);
-    /// assert_eq!(sampler.backend(), BackendKind::Compact);
     /// // Capacity exceeds the stream, so nothing was discarded and every
     /// // sampled edge still has inclusion probability 1.
     /// assert_eq!(sampler.inclusion_prob(Edge::new(0, 2)), Some(1.0));
@@ -305,47 +304,13 @@ impl<W: EdgeWeight> GpsSampler<W> {
     /// # Panics
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize, weight_fn: W, seed: u64) -> Self {
-        Self::with_backend(capacity, weight_fn, seed, BackendKind::Compact)
-    }
-
-    /// Creates a sampler on an explicit adjacency backend.
-    ///
-    /// Given identical arguments otherwise, both backends produce the
-    /// *bit-identical* reservoir, threshold and RNG stream — the sampler
-    /// consumes one uniform draw per non-duplicate arrival and weight
-    /// functions observe only topology counts, which the backends agree on.
-    /// [`BackendKind::HashMap`] exists for differential tests and for
-    /// measuring the compact backend's speedup (`bench_baseline`).
-    ///
-    /// ```
-    /// use gps_core::{GpsSampler, TriangleWeight};
-    /// use gps_graph::{BackendKind, Edge};
-    ///
-    /// let stream: Vec<Edge> = (0..200).map(|i| Edge::new(i, i + 1)).collect();
-    /// let mut compact =
-    ///     GpsSampler::with_backend(16, TriangleWeight::default(), 7, BackendKind::Compact);
-    /// let mut hashmap =
-    ///     GpsSampler::with_backend(16, TriangleWeight::default(), 7, BackendKind::HashMap);
-    /// compact.process_stream(stream.iter().copied());
-    /// hashmap.process_stream(stream.iter().copied());
-    /// assert_eq!(compact.threshold(), hashmap.threshold());
-    /// let mut a: Vec<Edge> = compact.edges().map(|s| s.edge).collect();
-    /// let mut b: Vec<Edge> = hashmap.edges().map(|s| s.edge).collect();
-    /// a.sort();
-    /// b.sort();
-    /// assert_eq!(a, b);
-    /// ```
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    pub fn with_backend(capacity: usize, weight_fn: W, seed: u64, backend: BackendKind) -> Self {
         assert!(capacity > 0, "reservoir capacity must be positive");
         GpsSampler {
             capacity,
             weight_fn,
             slab: Slab::with_capacity(capacity + 1),
             heap: MinHeap::with_capacity(capacity + 1),
-            adj: Self::sized_adjacency(backend, capacity),
+            adj: Self::sized_adjacency(capacity),
             z_star: 0.0,
             rng: SmallRng::seed_from_u64(seed),
             arrivals: 0,
@@ -360,8 +325,8 @@ impl<W: EdgeWeight> GpsSampler<W> {
     /// most `capacity + 1` edges at once (the provisional insert), hence at
     /// most `2 * (capacity + 1)` incident nodes — sizing for that up front
     /// kills rehash churn during reservoir fill.
-    fn sized_adjacency(backend: BackendKind, capacity: usize) -> AdjacencyBackend<SlotId> {
-        AdjacencyBackend::with_capacity(backend, 2 * (capacity + 1), capacity + 1)
+    fn sized_adjacency(capacity: usize) -> CompactAdjacency<SlotId> {
+        CompactAdjacency::with_capacity(2 * (capacity + 1), capacity + 1)
     }
 
     /// Restores a sampler from a previously saved sample state (see
@@ -389,35 +354,6 @@ impl<W: EdgeWeight> GpsSampler<W> {
     where
         I: IntoIterator<Item = (Edge, f64, f64)>,
     {
-        Self::restore_with_backend(
-            capacity,
-            weight_fn,
-            seed,
-            threshold,
-            arrivals,
-            records,
-            BackendKind::Compact,
-        )
-    }
-
-    /// [`GpsSampler::restore`] onto an explicit adjacency backend — needed
-    /// when resuming a checkpointed baseline-arm (`HashMap`) run so
-    /// before/after comparisons keep measuring the backend they started on.
-    ///
-    /// # Panics
-    /// Same conditions as [`GpsSampler::restore`].
-    pub fn restore_with_backend<I>(
-        capacity: usize,
-        weight_fn: W,
-        seed: u64,
-        threshold: f64,
-        arrivals: u64,
-        records: I,
-        backend: BackendKind,
-    ) -> Self
-    where
-        I: IntoIterator<Item = (Edge, f64, f64)>,
-    {
         assert!(capacity > 0, "reservoir capacity must be positive");
         assert!(
             threshold >= 0.0 && threshold.is_finite(),
@@ -428,7 +364,7 @@ impl<W: EdgeWeight> GpsSampler<W> {
             weight_fn,
             slab: Slab::with_capacity(capacity + 1),
             heap: MinHeap::with_capacity(capacity + 1),
-            adj: Self::sized_adjacency(backend, capacity),
+            adj: Self::sized_adjacency(capacity),
             z_star: threshold,
             rng: SmallRng::seed_from_u64(seed),
             arrivals,
@@ -653,15 +589,9 @@ impl<W: EdgeWeight> GpsSampler<W> {
         product
     }
 
-    /// Which adjacency backend this sampler runs on.
-    #[inline]
-    pub fn backend(&self) -> BackendKind {
-        self.adj.kind()
-    }
-
     /// In-stream internals: mutable slab plus the pieces needed to walk the
     /// sampled topology while mutating covariance accumulators.
-    pub(crate) fn estimator_parts(&mut self) -> (&mut Slab, &AdjacencyBackend<SlotId>, f64) {
+    pub(crate) fn estimator_parts(&mut self) -> (&mut Slab, &CompactAdjacency<SlotId>, f64) {
         (&mut self.slab, &self.adj, self.z_star)
     }
 

@@ -42,7 +42,6 @@ use crate::partition::{shard_seed, EdgePartitioner};
 use gps_core::weights::EdgeWeight;
 use gps_core::{post_stream, GpsSampler, InStreamState, TriadEstimates};
 use gps_graph::types::Edge;
-use gps_graph::BackendKind;
 use gps_telemetry::{
     Counter, Event, EventKind, Gauge, Histogram, Registry, Stability, TelemetrySnapshot,
 };
@@ -68,8 +67,6 @@ pub struct EngineConfig {
     pub batch: usize,
     /// Bounded channel depth, in batches per shard.
     pub queue: usize,
-    /// Adjacency backend every shard's sampler runs on.
-    pub backend: BackendKind,
     /// Per-shard arrivals between two [`ShardReport`]s on the epoch hook
     /// (in-stream estimating mode only; ignored without a hook).
     pub epoch_every: u64,
@@ -101,7 +98,7 @@ const SHIP_BACKOFF: Duration = Duration::from_micros(50);
 
 impl EngineConfig {
     /// A config with the tuned defaults: 1024-edge batches, 4-batch queues,
-    /// compact backend, a shard report every [`DEFAULT_EPOCH_EVERY`]
+    /// a shard report every [`DEFAULT_EPOCH_EVERY`]
     /// per-shard arrivals, no checkpointing, no timeouts.
     pub fn new(capacity: usize, shards: usize, seed: u64) -> Self {
         EngineConfig {
@@ -110,7 +107,6 @@ impl EngineConfig {
             seed,
             batch: 1024,
             queue: 4,
-            backend: BackendKind::Compact,
             epoch_every: DEFAULT_EPOCH_EVERY,
             checkpoint_every: 0,
             push_timeout: None,
@@ -778,11 +774,10 @@ impl<W: EdgeWeight + Clone + Send + 'static> ShardedGps<W> {
     fn fresh_samplers(cfg: &EngineConfig, weight_fn: &W) -> Vec<GpsSampler<W>> {
         (0..cfg.shards)
             .map(|i| {
-                GpsSampler::with_backend(
+                GpsSampler::new(
                     Self::shard_capacity(cfg.capacity, cfg.shards, i),
                     weight_fn.clone(),
                     shard_seed(cfg.seed, i),
-                    cfg.backend,
                 )
             })
             .collect()
@@ -917,7 +912,6 @@ impl<W: EdgeWeight + Clone + Send + 'static> ShardedGps<W> {
             &bytes,
             self.weight_fn.clone(),
             seed,
-            self.cfg.backend,
             Self::shard_capacity(self.cfg.capacity, self.cfg.shards, shard),
             self.estimating,
             hook,
@@ -1385,7 +1379,7 @@ impl<W: EdgeWeight + Clone + Send + 'static> ShardedGps<W> {
     pub fn estimate(&mut self) -> TriadEstimates {
         self.finish();
         let parts: Vec<TriadEstimates> = self.samplers.iter().map(post_stream::estimate).collect();
-        self.degrade(TriadEstimates::merged_colored(&parts))
+        self.degrade(TriadEstimates::merged_colored(&parts, parts.len()))
     }
 
     /// Merged **in-stream** (snapshot, Algorithm 3) estimates over all
@@ -1404,7 +1398,7 @@ impl<W: EdgeWeight + Clone + Send + 'static> ShardedGps<W> {
             .iter()
             .map(|f| f.expect("engine was not built with in-stream estimation"))
             .collect();
-        self.degrade(TriadEstimates::merged_colored(&parts))
+        self.degrade(TriadEstimates::merged_colored(&parts, parts.len()))
     }
 
     /// Applies the honest-degradation widening when the run lost arrivals.

@@ -5,8 +5,8 @@
 //! abundant parallelism" (paper §4; exploited by
 //! `post_stream::estimate_with_threads`). This crate scales the *ingest*
 //! side: [`ShardedGps`] hash-partitions arriving edges across `S` worker
-//! threads, each owning an independent `GPS(m/S)` reservoir on the compact
-//! adjacency backend, fed through bounded batch channels.
+//! threads, each owning an independent `GPS(m/S)` reservoir, fed through
+//! bounded batch channels.
 //!
 //! ## Why the merge is unbiased
 //!

@@ -29,7 +29,6 @@ use gps_core::persist::{self, SavedSample};
 use gps_core::weights::EdgeWeight;
 use gps_core::{GpsSampler, InStreamEstimator, InStreamState, TriadEstimates};
 use gps_graph::types::Edge;
-use gps_graph::BackendKind;
 
 /// The deterministic RNG seed a shard restarts with after its
 /// `restarts`-th recovery: the restart ordinal folded into the shard's
@@ -114,7 +113,6 @@ impl<W: EdgeWeight> ShardRunner<W> {
         bytes: &[u8],
         weight_fn: W,
         seed: u64,
-        backend: BackendKind,
         scratch_capacity: usize,
         estimating: bool,
         hook: Option<EpochHook>,
@@ -135,13 +133,12 @@ impl<W: EdgeWeight> ShardRunner<W> {
                 records,
                 in_stream,
             }) => {
-                let sampler = GpsSampler::restore_with_backend(
-                    capacity, weight_fn, seed, threshold, arrivals, records, backend,
-                );
+                let sampler =
+                    GpsSampler::restore(capacity, weight_fn, seed, threshold, arrivals, records);
                 (build(sampler, in_stream), arrivals, false)
             }
             Err(_) => {
-                let sampler = GpsSampler::with_backend(scratch_capacity, weight_fn, seed, backend);
+                let sampler = GpsSampler::new(scratch_capacity, weight_fn, seed);
                 (build(sampler, None), 0, true)
             }
         }
@@ -308,7 +305,6 @@ mod tests {
             &bytes,
             TriangleWeight::default(),
             restart_seed(7, 0, 1),
-            BackendKind::Compact,
             32,
             true,
             None,
@@ -339,7 +335,6 @@ mod tests {
             b"not a checkpoint",
             TriangleWeight::default(),
             restart_seed(7, 3, 1),
-            BackendKind::Compact,
             16,
             false,
             None,

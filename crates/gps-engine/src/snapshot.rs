@@ -45,7 +45,6 @@ use crate::partition::shard_seed;
 use gps_core::persist::{self, PersistError, SavedSample};
 use gps_core::weights::EdgeWeight;
 use gps_core::GpsSampler;
-use gps_graph::BackendKind;
 use gps_telemetry::Registry;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::sync::Arc;
@@ -93,7 +92,7 @@ impl SavedEngine {
     }
 
     /// Rebuilds a running engine (workers spawned, ready for more stream)
-    /// from the saved state, on the given adjacency backend. The weight
+    /// from the saved state. The weight
     /// function matters only if the engine keeps consuming the stream —
     /// stored weights are what estimation reads.
     ///
@@ -104,9 +103,8 @@ impl SavedEngine {
     pub fn into_engine<W: EdgeWeight + Clone + Send + 'static>(
         self,
         weight_fn: W,
-        backend: BackendKind,
     ) -> ShardedGps<W> {
-        self.relaunch(weight_fn, backend, WorkerMode::Plain)
+        self.relaunch(weight_fn, WorkerMode::Plain)
     }
 
     /// Rebuilds a running engine in **in-stream estimating** mode (see
@@ -126,13 +124,11 @@ impl SavedEngine {
     pub fn into_serving_engine<W: EdgeWeight + Clone + Send + 'static>(
         self,
         weight_fn: W,
-        backend: BackendKind,
         hook: Option<crate::engine::EpochHook>,
         epoch_every: u64,
     ) -> ShardedGps<W> {
         self.into_serving_engine_on_registry(
             weight_fn,
-            backend,
             hook,
             epoch_every,
             Arc::new(Registry::new()),
@@ -150,14 +146,12 @@ impl SavedEngine {
     pub fn into_serving_engine_on_registry<W: EdgeWeight + Clone + Send + 'static>(
         self,
         weight_fn: W,
-        backend: BackendKind,
         hook: Option<crate::engine::EpochHook>,
         epoch_every: u64,
         registry: Arc<Registry>,
     ) -> ShardedGps<W> {
         self.relaunch_with(
             weight_fn,
-            backend,
             WorkerMode::Estimating(hook),
             epoch_every,
             registry,
@@ -167,12 +161,10 @@ impl SavedEngine {
     fn relaunch<W: EdgeWeight + Clone + Send + 'static>(
         self,
         weight_fn: W,
-        backend: BackendKind,
         mode: WorkerMode,
     ) -> ShardedGps<W> {
         self.relaunch_with(
             weight_fn,
-            backend,
             mode,
             crate::engine::DEFAULT_EPOCH_EVERY,
             Arc::new(Registry::new()),
@@ -182,7 +174,6 @@ impl SavedEngine {
     fn relaunch_with<W: EdgeWeight + Clone + Send + 'static>(
         self,
         weight_fn: W,
-        backend: BackendKind,
         mode: WorkerMode,
         epoch_every: u64,
         registry: Arc<Registry>,
@@ -196,19 +187,17 @@ impl SavedEngine {
         );
         let pushed = self.pushed();
         let mut cfg = EngineConfig::new(self.capacity, self.shards.len(), self.seed);
-        cfg.backend = backend;
         cfg.epoch_every = epoch_every;
         let mut samplers = Vec::with_capacity(self.shards.len());
         let mut states = Vec::with_capacity(self.shards.len());
         for (i, shard) in self.shards.into_iter().enumerate() {
-            samplers.push(GpsSampler::restore_with_backend(
+            samplers.push(GpsSampler::restore(
                 shard.capacity,
                 weight_fn.clone(),
                 shard_seed(cfg.seed, i),
                 shard.threshold,
                 shard.arrivals,
                 shard.records,
-                backend,
             ));
             states.push(shard.in_stream);
         }
@@ -389,7 +378,7 @@ mod tests {
         engine.save(&mut buf).unwrap();
         let mut restored = load_engine(buf.as_slice())
             .unwrap()
-            .into_engine(UniformWeight, BackendKind::Compact);
+            .into_engine(UniformWeight);
         let again = restored.estimate();
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * (1.0 + a.abs().max(b.abs()));
         assert!(close(original.triangles.value, again.triangles.value));
@@ -405,7 +394,7 @@ mod tests {
         engine.save(&mut buf).unwrap();
         let mut restored = load_engine(buf.as_slice())
             .unwrap()
-            .into_engine(TriangleWeight::default(), BackendKind::Compact);
+            .into_engine(TriangleWeight::default());
         assert_eq!(restored.pushed(), engine.pushed());
         // Re-push every edge the original engine sampled: all must be
         // recognized as duplicates, which requires the rebuilt partition
@@ -447,7 +436,6 @@ mod tests {
         assert!(saved.shards.iter().all(|s| s.in_stream.is_some()));
         let mut restored = saved.into_serving_engine(
             TriangleWeight::default(),
-            BackendKind::Compact,
             None,
             crate::engine::DEFAULT_EPOCH_EVERY,
         );

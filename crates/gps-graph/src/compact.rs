@@ -1,4 +1,4 @@
-//! Cache-friendly adjacency backend for the GPS reservoir hot path.
+//! Cache-friendly adjacency store for the GPS reservoir hot path.
 //!
 //! [`CompactAdjacency<V>`] keeps the same observable behavior as
 //! [`crate::AdjacencyMap`] but reorganizes storage around the access pattern
@@ -43,9 +43,10 @@
 //! slot table. The only hash in the structure is the node-interning map,
 //! gated by the filter and bypassed on eviction via [`EdgeHints`].
 //!
-//! The old [`crate::AdjacencyMap`] remains in-tree as the differential
-//! oracle (`tests/compact_differential.rs`) and as the baseline arm of the
-//! `bench_baseline` perf harness.
+//! Every sampler in the workspace holds this store directly: the GPS
+//! reservoir, the `gps-baselines` samplers and the `gps-stream`
+//! generators. The simpler [`crate::AdjacencyMap`] is the reference it is
+//! checked against (`tests/compact_differential.rs`).
 
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::types::{Edge, NodeId};
@@ -99,7 +100,7 @@ fn mix(node: NodeId) -> usize {
 /// [`CompactAdjacency::remove_hinted`] to skip both node-table hash probes
 /// on eviction. Hints are verified before use and fall back to the normal
 /// lookup, so a stale hint can never corrupt the structure.
-/// [`EdgeHints::default`] (used by backends without hints) is always safe.
+/// [`EdgeHints::default`] ("no hint") is always safe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EdgeHints {
     /// Slot of the smaller endpoint, or `FREE_NONE` for "no hint".
@@ -1258,5 +1259,52 @@ mod tests {
         assert!(g.is_empty());
         assert_eq!(g.num_nodes(), 0);
         assert_eq!(g.pool_len(), 0);
+    }
+
+    #[test]
+    fn completion_walk_matches_separate_walks() {
+        // for_each_completion must report exactly what the separate
+        // common-neighbor + incident walks (with self-exclusion) report,
+        // for present/absent endpoint combinations.
+        let mut g: CompactAdjacency<u32> = CompactAdjacency::new();
+        g.insert(Edge::new(1, 2), 12);
+        g.insert(Edge::new(2, 3), 23);
+        g.insert(Edge::new(1, 3), 13);
+        g.insert(Edge::new(3, 4), 34);
+        for (u, v) in [(1, 2), (2, 1), (1, 4), (4, 5), (5, 6), (3, 9)] {
+            let (mut tri_a, mut wedge_a) = (vec![], vec![]);
+            g.for_each_completion(u, v, |w, x, y| tri_a.push((w, x, y)), |x| wedge_a.push(x));
+            let (mut tri_b, mut wedge_b) = (vec![], vec![]);
+            g.for_each_common_neighbor(u, v, |w, x, y| tri_b.push((w, x, y)));
+            wedge_b.extend(g.neighbors(u).filter(|&(n, _)| n != v).map(|(_, x)| x));
+            wedge_b.extend(g.neighbors(v).filter(|&(n, _)| n != u).map(|(_, x)| x));
+            tri_a.sort_unstable();
+            tri_b.sort_unstable();
+            wedge_a.sort_unstable();
+            wedge_b.sort_unstable();
+            assert_eq!(tri_a, tri_b, "common mismatch at ({u},{v})");
+            assert_eq!(wedge_a, wedge_b, "incident mismatch at ({u},{v})");
+        }
+    }
+
+    #[test]
+    fn neighbor_slice_covers_each_neighbor_exactly_once() {
+        // Ten neighbors spill past the inline buffer, so this indexes a
+        // pool block; the uniform-neighbor draws of the generators and of
+        // JHA's wedge sampler rely on exactly this coverage.
+        let mut g: CompactAdjacency<u32> = CompactAdjacency::new();
+        for i in 0..10u32 {
+            g.insert(Edge::new(100, i), i);
+        }
+        let slice = g.neighbor_slice(100);
+        assert_eq!(slice.len(), g.degree(100));
+        let mut seen: Vec<(NodeId, u32)> = (0..g.degree(100)).map(|i| slice[i]).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..10u32).map(|i| (i, i)).collect::<Vec<_>>());
+        assert_eq!(slice.get(10), None);
+        assert!(
+            g.neighbor_slice(999).is_empty(),
+            "unknown node has no neighbors"
+        );
     }
 }

@@ -9,15 +9,14 @@
 //!   aliases used throughout the workspace (std's SipHash is needlessly slow
 //!   for small integer keys).
 //! - [`adjacency`]: a dynamic undirected adjacency structure with O(1)
-//!   edge membership tests and value storage per edge — kept as the
-//!   reference implementation / differential-test oracle.
-//! - [`compact`]: the cache-friendly interned adjacency backend
-//!   ([`CompactAdjacency`]) that actually backs the GPS reservoir: inline
-//!   small-buffer neighbor lists spilling into a shared slab pool, with an
-//!   adaptive common-neighbor kernel.
-//! - [`backend`]: [`AdjacencyBackend`], a runtime-selectable wrapper over
-//!   the two representations so samplers can be measured and differentially
-//!   tested on both.
+//!   edge membership tests and value storage per edge — the exact
+//!   counter's store ([`incremental`]) and the reference the differential
+//!   tests compare [`CompactAdjacency`] against.
+//! - [`compact`]: the cache-friendly interned adjacency
+//!   ([`CompactAdjacency`]) that every sampler holds — the GPS reservoir,
+//!   the baseline samplers and the graph generators: inline small-buffer
+//!   neighbor lists spilling into a shared slab pool, with an adaptive
+//!   common-neighbor kernel.
 //! - [`csr`]: an immutable compressed-sparse-row graph for exact analytics.
 //! - [`exact`]: exact triangle / wedge / clustering-coefficient computation
 //!   (degree-ordered intersection, `O(m^{3/2})`) plus brute-force references
@@ -35,7 +34,6 @@
 #![forbid(unsafe_code)]
 
 pub mod adjacency;
-pub mod backend;
 pub mod compact;
 pub mod csr;
 pub mod degrees;
@@ -47,7 +45,6 @@ pub mod io;
 pub mod types;
 
 pub use adjacency::AdjacencyMap;
-pub use backend::{AdjacencyBackend, BackendKind};
 pub use compact::{CompactAdjacency, EdgeHints};
 pub use csr::CsrGraph;
 pub use error::GraphError;

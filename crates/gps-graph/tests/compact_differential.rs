@@ -1,14 +1,14 @@
 //! Differential property tests: [`CompactAdjacency`] against the
 //! [`AdjacencyMap`] oracle under random edit sequences.
 //!
-//! The compact backend replaces the reservoir's adjacency store, so any
-//! observable divergence from the old map is a sampler-corrupting bug. Every
-//! property drives both structures through the same operations and compares
-//! every return value plus full observable state (degrees, neighbor sets,
-//! edge sets, common-neighbor enumeration with value orientation).
+//! Every sampler holds the compact store, so any observable divergence
+//! from the map is a sampler-corrupting bug. Every property drives both
+//! structures through the same operations and compares every return value
+//! plus full observable state (degrees, neighbor sets, edge sets,
+//! common-neighbor and completion enumeration with value orientation).
 
 use gps_graph::types::{Edge, NodeId};
-use gps_graph::{AdjacencyMap, CompactAdjacency};
+use gps_graph::{AdjacencyMap, CompactAdjacency, EdgeHints, FxHashMap};
 use proptest::prelude::*;
 
 /// A random edit operation over a small node universe.
@@ -86,6 +86,34 @@ fn assert_equivalent(compact: &CompactAdjacency<u32>, oracle: &AdjacencyMap<u32>
             );
         }
     }
+
+    // The fused completion walk must agree in both argument orders.
+    for u in 0..max_n {
+        for v in (0..max_n).filter(|&v| v != u) {
+            assert_eq!(
+                completions(|t, w| compact.for_each_completion(u, v, t, w)),
+                completions(|t, w| oracle.for_each_completion(u, v, t, w)),
+                "for_each_completion({u}, {v})"
+            );
+        }
+    }
+}
+
+/// Triangle and wedge callbacks of one completion walk, each as a sorted
+/// multiset (the two stores enumerate in different orders).
+type Completions = (Vec<(NodeId, u32, u32)>, Vec<u32>);
+
+fn completions<F>(walk: F) -> Completions
+where
+    F: FnOnce(&mut dyn FnMut(NodeId, u32, u32), &mut dyn FnMut(u32)),
+{
+    let (mut tri, mut wedge) = (vec![], vec![]);
+    walk(&mut |w, vu, vv| tri.push((w, vu, vv)), &mut |x| {
+        wedge.push(x)
+    });
+    tri.sort_unstable();
+    wedge.sort_unstable();
+    (tri, wedge)
 }
 
 proptest! {
@@ -229,5 +257,59 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+proptest! {
+    #[test]
+    fn hinted_insert_and_remove_match_oracle(ops in arb_ops(10, 300)) {
+        // The reservoir's own path: insert with hints, keep the hints with
+        // the edge, evict through them. A remove of an absent edge passes
+        // the hints of the edge's previous life, which are stale by then
+        // and must fall back to the id lookup.
+        let mut compact: CompactAdjacency<u32> = CompactAdjacency::new();
+        let mut oracle: AdjacencyMap<u32> = AdjacencyMap::new();
+        let mut hints: FxHashMap<Edge, EdgeHints> = FxHashMap::default();
+        for &op in &ops {
+            let e = match op {
+                Op::Insert(e, v) => {
+                    let (prev, h) = compact.insert_with_hints(e, v);
+                    prop_assert_eq!(prev, oracle.insert(e, v), "insert {}", e);
+                    hints.insert(e, h);
+                    e
+                }
+                Op::Remove(e) => {
+                    let h = hints.get(&e).copied().unwrap_or_default();
+                    prop_assert_eq!(compact.remove_hinted(e, h), oracle.remove(e), "remove {}", e);
+                    e
+                }
+                Op::Set(e, v) => {
+                    prop_assert_eq!(compact.set(e, v), oracle.set(e, v), "set {}", e);
+                    e
+                }
+            };
+            // After each step: the edge set, and both touched endpoints'
+            // lists and completion walk; the full comparison runs at the end.
+            prop_assert_eq!(compact.num_nodes(), oracle.num_nodes());
+            let mut ce: Vec<(Edge, u32)> = compact.edges().collect();
+            let mut oe: Vec<(Edge, u32)> = oracle.edges().collect();
+            ce.sort_unstable();
+            oe.sort_unstable();
+            prop_assert_eq!(ce, oe, "edge sets diverged after {:?}", op);
+            let (u, v) = e.endpoints();
+            for node in [u, v] {
+                let mut cn: Vec<(NodeId, u32)> = compact.neighbors(node).collect();
+                let mut on: Vec<(NodeId, u32)> = oracle.neighbors(node).collect();
+                cn.sort_unstable();
+                on.sort_unstable();
+                prop_assert_eq!(cn, on, "neighbors({}) after {:?}", node, op);
+            }
+            prop_assert_eq!(
+                completions(|t, w| compact.for_each_completion(u, v, t, w)),
+                completions(|t, w| oracle.for_each_completion(u, v, t, w)),
+                "for_each_completion after {:?}", op
+            );
+        }
+        assert_equivalent(&compact, &oracle, 10);
     }
 }

@@ -343,7 +343,7 @@ impl Board {
             .sum();
         let contributing = full_mask(parts.len());
         let t_merge_start = self.clock.now_ns();
-        let estimates = TriadEstimates::merged_colored(&parts);
+        let estimates = TriadEstimates::merged_colored(&parts, parts.len());
         let t_merge_end = self.clock.now_ns();
         let ctx = PublishCtx {
             now,
@@ -358,7 +358,7 @@ impl Board {
     /// Merges only the `live` shards' snapshots and publishes a degraded
     /// epoch (caller holds the lock; `live` must be non-empty). Estimates
     /// extrapolate from the reporting colors via
-    /// [`TriadEstimates::merged_colored_partial`] — unbiased, with honestly
+    /// [`TriadEstimates::merged_colored`] — unbiased, with honestly
     /// widened variances — and the watermark covers the reporting
     /// substreams only, so it can sit below a prior full epoch's until the
     /// silent shard returns.
@@ -379,7 +379,7 @@ impl Board {
             .sum();
         let contributing = live.iter().fold(0u64, |mask, &i| mask | shard_bit(i));
         let t_merge_start = self.clock.now_ns();
-        let estimates = TriadEstimates::merged_colored_partial(&parts, state.per_shard.len());
+        let estimates = TriadEstimates::merged_colored(&parts, state.per_shard.len());
         let t_merge_end = self.clock.now_ns();
         let ctx = PublishCtx {
             now,

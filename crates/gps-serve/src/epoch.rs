@@ -43,7 +43,7 @@ pub struct EstimateEpoch {
     /// **degraded** one (published past the gate deadline while some shard
     /// was stalled or recovering) merges only the reporting shards, with
     /// the missing strata's loss reflected in the widened variances of
-    /// [`TriadEstimates::merged_colored_partial`].
+    /// [`TriadEstimates::merged_colored`].
     pub contributing: u64,
     /// Total arrivals the producing engine has lost to crash-recovery
     /// rollbacks or written-off stragglers at publication time (the

@@ -13,7 +13,8 @@
 
 use gps_core::weights::TriangleWeight;
 use gps_graph::types::Edge;
-use gps_serve::ServeEngine;
+use gps_serve::{EstimateEpoch, ServeEngine};
+use std::time::Duration;
 
 fn clique_edges(n: u32) -> Vec<Edge> {
     let mut edges = vec![];
@@ -38,21 +39,15 @@ fn scale() -> (u32, usize) {
 fn concurrent_queries_never_observe_torn_epochs() {
     let (n, readers) = scale();
     let edges = clique_edges(n);
+    let total = edges.len() as u64;
     let mut serve = ServeEngine::new(64, TriangleWeight::default(), 97, 2);
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let threads: Vec<_> = (0..readers)
         .map(|_| {
             let handle = serve.handle();
-            let stop = stop.clone();
             std::thread::spawn(move || {
                 let (mut last_v, mut last_w, mut reads) = (0u64, 0u64, 0u64);
-                // ordering: Relaxed — stop flag only ends the loop; epoch
-                // data synchronizes through the board and its seqlock cell.
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    let Some(e) = handle.latest() else {
-                        std::thread::yield_now();
-                        continue;
-                    };
+                // Checks one observed epoch; true once it is the final one.
+                let mut check = |e: EstimateEpoch| {
                     // A torn read would mix words from two epochs: version
                     // or watermark regressing, or a non-finite estimate
                     // decoded from mismatched halves.
@@ -63,13 +58,29 @@ fn concurrent_queries_never_observe_torn_epochs() {
                             && e.estimates.triangles.variance.is_finite(),
                         "non-finite estimate decoded"
                     );
-                    assert!(
-                        e.edges_seen <= (n as u64) * (n as u64 - 1) / 2,
-                        "watermark beyond the stream"
-                    );
+                    assert!(e.edges_seen <= total, "watermark beyond the stream");
                     last_v = e.version;
                     last_w = e.edges_seen;
                     reads += 1;
+                    e.edges_seen == total
+                };
+                // Read until the final watermark is observed, so every
+                // reader reads at least once however the threads race
+                // the ingest.
+                loop {
+                    if handle.latest().is_some_and(&mut check) {
+                        break;
+                    }
+                    if handle.is_closed() {
+                        // Ingest is over: the final epoch is published or
+                        // missing, and the bounded wait turns a missing
+                        // one into a failure instead of a hang.
+                        let last = handle
+                            .wait_for_edges_timeout(total, Duration::from_secs(30))
+                            .expect("final epoch never published");
+                        assert!(check(last), "final epoch below the stream");
+                        break;
+                    }
                     std::thread::yield_now();
                 }
                 reads
@@ -80,9 +91,6 @@ fn concurrent_queries_never_observe_torn_epochs() {
         serve.push_batch(chunk);
     }
     serve.finish();
-    // ordering: Relaxed — shutdown signal; reader results come back
-    // through join(), which synchronizes.
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
     let reads: u64 = threads.into_iter().map(|t| t.join().unwrap()).sum();
     assert!(reads > 0, "readers never saw an epoch");
     let last = serve.handle().latest().expect("final epoch");

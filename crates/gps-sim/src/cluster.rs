@@ -17,8 +17,8 @@
 //! [`TriadEstimates::merged_colored`] merge — and "different bits" is
 //! exactly what the determinism suites exist to forbid. Aggregators
 //! therefore only batch and forward; all arithmetic happens once, at the
-//! root, over per-leaf estimates in leaf order
-//! ([`TriadEstimates::merged_colored_tree`]). Bit-identity of tree and
+//! root, which flattens the forwarded groups back into leaf order and
+//! runs the one flat merge over them. Bit-identity of tree and
 //! flat merges is then true by construction and pinned by tests at
 //! `S ∈ {16, 64, 256}`.
 //!
@@ -37,7 +37,6 @@ use gps_core::weights::EdgeWeight;
 use gps_core::TriadEstimates;
 use gps_engine::{EdgePartitioner, ShardedGps};
 use gps_graph::types::Edge;
-use gps_graph::BackendKind;
 use gps_telemetry::{
     EpochTrace, Event as TelemetryEvent, EventKind, Registry, Stability, TelemetrySnapshot,
     TraceCause,
@@ -72,8 +71,6 @@ pub struct SimConfig {
     pub agg_link: Link,
     /// Root publish cadence in virtual time.
     pub publish_every_ns: u64,
-    /// Adjacency backend for the production samplers.
-    pub backend: BackendKind,
 }
 
 impl SimConfig {
@@ -98,7 +95,6 @@ impl SimConfig {
                 jitter_ns: 40_000,
             },
             publish_every_ns: 1_000_000,
-            backend: BackendKind::Compact,
         }
     }
 
@@ -307,7 +303,6 @@ where
                 cfg.seed,
                 cfg.checkpoint_every,
                 cfg.epoch_every,
-                cfg.backend,
                 weight_fn.clone(),
             )
         })
@@ -438,15 +433,8 @@ where
                     .filter_map(|(l, s)| s.map(|s| (l, s)))
                     .collect();
                 if !reporting.is_empty() {
-                    let groups = group_by_aggregator(cfg, &reporting);
-                    let group_refs: Vec<&[TriadEstimates]> =
-                        groups.iter().map(Vec::as_slice).collect();
                     let degraded = reporting.len() < cfg.shards;
-                    let _merged = if degraded {
-                        TriadEstimates::merged_colored_tree_partial(&group_refs, cfg.shards)
-                    } else {
-                        TriadEstimates::merged_colored_tree(&group_refs)
-                    };
+                    let _merged = merge_at_root(&group_by_aggregator(cfg, &reporting), cfg.shards);
                     let ages: Vec<u64> = reporting
                         .iter()
                         .map(|(_, s)| now - s.generated_at_ns)
@@ -562,7 +550,7 @@ where
                 .expect("every crash schedules a restore; leaves end live")
         })
         .collect();
-    let flat = TriadEstimates::merged_colored(&finals);
+    let flat = TriadEstimates::merged_colored(&finals, finals.len());
     let all: Vec<(usize, Slot)> = finals
         .iter()
         .enumerate()
@@ -577,9 +565,7 @@ where
             )
         })
         .collect();
-    let groups = group_by_aggregator(cfg, &all);
-    let group_refs: Vec<&[TriadEstimates]> = groups.iter().map(Vec::as_slice).collect();
-    let tree = TriadEstimates::merged_colored_tree(&group_refs);
+    let tree = merge_at_root(&group_by_aggregator(cfg, &all), cfg.shards);
     // Widen like the engine's degraded estimates do; skip when clean so
     // clean runs stay bit-identical to an unwidened merge.
     let (flat, tree) = if lost_arrivals > 0 {
@@ -617,6 +603,14 @@ where
 
 /// Per-aggregator report lists in (aggregator, leaf) order — the wire
 /// layout the root merges over.
+/// The root's merge: the aggregators' forwarded groups (each in leaf
+/// order, groups ordered by their first leaf) are concatenated back into
+/// leaf order and merged once over the `total`-way coloring.
+fn merge_at_root(groups: &[Vec<TriadEstimates>], total: usize) -> TriadEstimates {
+    let leaves: Vec<TriadEstimates> = groups.iter().flatten().copied().collect();
+    TriadEstimates::merged_colored(&leaves, total)
+}
+
 fn group_by_aggregator(cfg: &SimConfig, reporting: &[(usize, Slot)]) -> Vec<Vec<TriadEstimates>> {
     let mut groups: Vec<Vec<TriadEstimates>> = vec![Vec::new(); cfg.aggregators];
     for (leaf, slot) in reporting {

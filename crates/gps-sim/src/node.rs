@@ -17,7 +17,6 @@ use gps_core::TriadEstimates;
 use gps_engine::shard::{restart_seed, ShardRunner};
 use gps_engine::shard_seed;
 use gps_graph::types::Edge;
-use gps_graph::BackendKind;
 
 /// An epoch report a leaf emits toward its aggregator: the sim-side
 /// equivalent of `gps_engine::ShardReport`.
@@ -38,7 +37,6 @@ pub struct LeafNode<W> {
     capacity: usize,
     checkpoint_every: u64,
     epoch_every: u64,
-    backend: BackendKind,
     weight_fn: W,
     /// `None` while crashed (between crash and restore).
     runner: Option<ShardRunner<W>>,
@@ -64,15 +62,9 @@ impl<W: EdgeWeight + Clone> LeafNode<W> {
         engine_seed: u64,
         checkpoint_every: u64,
         epoch_every: u64,
-        backend: BackendKind,
         weight_fn: W,
     ) -> Self {
-        let sampler = GpsSampler::with_backend(
-            capacity,
-            weight_fn.clone(),
-            shard_seed(engine_seed, shard),
-            backend,
-        );
+        let sampler = GpsSampler::new(capacity, weight_fn.clone(), shard_seed(engine_seed, shard));
         let runner = ShardRunner::estimating(shard, sampler, None, None, epoch_every);
         let ckpt = runner.checkpoint_bytes();
         LeafNode {
@@ -81,7 +73,6 @@ impl<W: EdgeWeight + Clone> LeafNode<W> {
             capacity,
             checkpoint_every,
             epoch_every,
-            backend,
             weight_fn,
             runner: Some(runner),
             ckpt,
@@ -167,7 +158,6 @@ impl<W: EdgeWeight + Clone> LeafNode<W> {
             &self.ckpt,
             self.weight_fn.clone(),
             seed,
-            self.backend,
             self.capacity,
             true,
             None,
@@ -224,15 +214,7 @@ mod tests {
     }
 
     fn node() -> LeafNode<TriangleWeight> {
-        LeafNode::new(
-            0,
-            32,
-            7,
-            16,
-            64,
-            BackendKind::Compact,
-            TriangleWeight::default(),
-        )
+        LeafNode::new(0, 32, 7, 16, 64, TriangleWeight::default())
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Holme–Kim power-law graphs with tunable clustering.
 
 use gps_graph::types::{Edge, NodeId};
-use gps_graph::{AdjacencyBackend, BackendKind};
+use gps_graph::CompactAdjacency;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -14,37 +14,17 @@ use rand::{Rng, SeedableRng};
 /// (ca-hollywood-2009 α≈0.31, socfb-* α≈0.10): `triad_p` directly dials the
 /// global clustering coefficient while keeping the BA degree tail.
 ///
-/// The growing graph lives on the compact adjacency backend — the same
-/// substrate as the samplers it feeds: the triad step's uniform-neighbor
-/// draw is O(1) slice indexing, and duplicate suppression is answered by
-/// the adjacency's own membership check on insert (no separate hash-set
-/// accumulator; the dedup predicate is identical, so seeded outputs are
-/// unchanged). Use [`holme_kim_with_backend`] to run on the nested-hash
-/// oracle instead.
+/// The growing graph lives in a [`CompactAdjacency`] — the same store as
+/// the samplers it feeds: the triad step's uniform-neighbor draw is O(1)
+/// slice indexing, and duplicate suppression is answered by the
+/// adjacency's own membership check on insert (no separate hash-set
+/// accumulator). Output is fully deterministic in the seed; which graph a
+/// seed yields also depends on the store's neighbor order, so a change to
+/// that order changes every seeded Holme–Kim stream.
 ///
 /// # Panics
 /// Panics if `n <= m_per_node`, `m_per_node == 0`, or `triad_p ∉ [0, 1]`.
 pub fn holme_kim(n: NodeId, m_per_node: usize, triad_p: f64, seed: u64) -> Vec<Edge> {
-    holme_kim_with_backend(n, m_per_node, triad_p, seed, BackendKind::Compact)
-}
-
-/// [`holme_kim`] on an explicit adjacency backend.
-///
-/// The two backends realize the *same* random-graph model (each triad step
-/// picks a uniform neighbor of the anchor), but their neighbor orders
-/// differ, so a given seed yields a different — equally distributed —
-/// concrete graph per backend. Within one backend, output is fully
-/// deterministic in the seed.
-///
-/// # Panics
-/// Same conditions as [`holme_kim`].
-pub fn holme_kim_with_backend(
-    n: NodeId,
-    m_per_node: usize,
-    triad_p: f64,
-    seed: u64,
-    backend: BackendKind,
-) -> Vec<Edge> {
     assert!(m_per_node >= 1);
     assert!(
         (n as usize) > m_per_node,
@@ -58,17 +38,15 @@ pub fn holme_kim_with_backend(
     let m0 = m_per_node + 1;
     let expected_edges = m0 * (m0 - 1) / 2 + (n as usize - m0) * m_per_node;
     let mut edges: Vec<Edge> = Vec::with_capacity(expected_edges);
-    let mut graph: AdjacencyBackend<()> =
-        AdjacencyBackend::with_capacity(backend, n as usize, expected_edges);
+    let mut graph: CompactAdjacency<()> =
+        CompactAdjacency::with_capacity(n as usize, expected_edges);
     let mut stubs: Vec<NodeId> = Vec::with_capacity(expected_edges * 2);
 
-    // Dedup against the growing adjacency itself (ROADMAP generator-speed
-    // item): `insert` answers "was it new?" from the endpoint's own
-    // neighbor list, replacing the separate hash-set accumulator the other
-    // generators use. The membership predicate is identical, so seeded
-    // outputs are unchanged.
+    // Dedup against the growing adjacency itself: `insert` answers "was it
+    // new?" from the endpoint's own neighbor list, replacing the separate
+    // hash-set accumulator the other generators use.
     let add = |edges: &mut Vec<Edge>,
-               graph: &mut AdjacencyBackend<()>,
+               graph: &mut CompactAdjacency<()>,
                stubs: &mut Vec<NodeId>,
                e: Edge|
      -> bool {
@@ -100,12 +78,8 @@ pub fn holme_kim_with_backend(
             let target = if use_triad {
                 // Triad formation: random neighbor of the last attachee.
                 let anchor = last_attached.unwrap();
-                let deg = graph.degree(anchor);
-                let idx = rng.random_range(0..deg);
-                graph
-                    .neighbor_at(anchor, idx)
-                    .map(|(w, ())| w)
-                    .expect("degree-bounded index")
+                let neighbors = graph.neighbor_slice(anchor);
+                neighbors[rng.random_range(0..neighbors.len())].0
             } else {
                 stubs[rng.random_range(0..stubs.len())]
             };
@@ -173,33 +147,16 @@ mod tests {
     }
 
     #[test]
-    fn default_backend_is_compact() {
-        assert_eq!(
-            holme_kim(400, 3, 0.5, 9),
-            holme_kim_with_backend(400, 3, 0.5, 9, gps_graph::BackendKind::Compact),
-        );
-    }
-
-    #[test]
-    fn both_backends_realize_the_same_model() {
-        // Backends differ in neighbor order, so concrete seeded outputs
-        // differ — but each is a valid simple graph of nominal size with
-        // comparable clustering (the model parameter being exercised).
-        let nominal = 6 + 1997 * 3;
-        let mut clustering = vec![];
-        for kind in [
-            gps_graph::BackendKind::Compact,
-            gps_graph::BackendKind::HashMap,
-        ] {
-            let edges = holme_kim_with_backend(2000, 3, 0.7, 5, kind);
-            assert_simple(&edges);
-            assert!(edges.len() >= nominal * 95 / 100);
-            clustering.push(exact::global_clustering(&CsrGraph::from_edges(&edges)));
+    fn seeded_output_is_pinned() {
+        // FNV-1a over the edge sequence: any change to the draw order or
+        // to the adjacency's neighbor order shows up here.
+        let edges = holme_kim(400, 3, 0.5, 9);
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for e in &edges {
+            for x in [e.u(), e.v()] {
+                h = (h ^ u64::from(x)).wrapping_mul(0x0100_0000_01b3);
+            }
         }
-        let (a, b) = (clustering[0], clustering[1]);
-        assert!(
-            (a - b).abs() / a.max(b) < 0.25,
-            "clustering should agree across backends: {a} vs {b}"
-        );
+        assert_eq!((edges.len(), h), (1194, 0x02fd_3d0d_fc09_fc21));
     }
 }

@@ -23,26 +23,24 @@ pub use ba::barabasi_albert;
 pub use chung_lu::chung_lu;
 pub use cliques::collaboration;
 pub use er::erdos_renyi;
-pub use holme_kim::{holme_kim, holme_kim_with_backend};
+pub use holme_kim::holme_kim;
 pub use lattice::grid;
 pub use rmat::{rmat, RmatParams};
 pub use ws::watts_strogatz;
 
 use gps_graph::types::Edge;
-use gps_graph::{AdjacencyBackend, BackendKind};
+use gps_graph::CompactAdjacency;
 
 /// Deduplicating edge accumulator shared by the generators.
 ///
-/// Duplicate suppression is answered by a growing compact adjacency's own
-/// membership check on insert — the same substrate the samplers and the
-/// Holme–Kim generator run on — instead of a separate `FxHashSet` of edge
-/// keys (the ROADMAP generator-dedup item). The membership predicate
-/// ("was this edge new?") is identical and no RNG draw depends on the
-/// structure, so seeded generator outputs are unchanged; generators that
-/// need topology (degree-indexed draws, membership under rewiring) get it
-/// from the same structure for free.
+/// Duplicate suppression is answered by a growing [`CompactAdjacency`]'s
+/// own membership check on insert — the same store the samplers and the
+/// Holme–Kim generator hold — instead of a separate `FxHashSet` of edge
+/// keys. No RNG draw depends on the structure; generators that need
+/// topology (degree-indexed draws, membership under rewiring) get it from
+/// the same structure for free.
 pub(crate) struct EdgeAccumulator {
-    seen: AdjacencyBackend<()>,
+    seen: CompactAdjacency<()>,
     edges: Vec<Edge>,
 }
 
@@ -51,8 +49,8 @@ impl EdgeAccumulator {
         EdgeAccumulator {
             // Node-count hint: a simple graph of m edges touches at most 2m
             // nodes, but generators cluster far below that; m avoids
-            // over-reserving while the backend grows on demand.
-            seen: AdjacencyBackend::with_capacity(BackendKind::Compact, m, m),
+            // over-reserving while the store grows on demand.
+            seen: CompactAdjacency::with_capacity(m, m),
             edges: Vec::with_capacity(m),
         }
     }

@@ -34,14 +34,10 @@ pub fn watts_strogatz(n: NodeId, k: usize, beta: f64, seed: u64) -> Vec<Edge> {
 
     // Rewire pass: replace (v, w) by (v, random) with probability beta,
     // skipping rewires that would duplicate or self-loop. Membership under
-    // rewiring is answered by an adjacency over the current edge set (same
-    // substrate as the other generators' dedup; identical predicate, so
-    // seeded outputs are unchanged).
-    let mut seen: gps_graph::AdjacencyBackend<()> = gps_graph::AdjacencyBackend::with_capacity(
-        gps_graph::BackendKind::Compact,
-        n as usize,
-        edges.len(),
-    );
+    // rewiring is answered by an adjacency over the current edge set (the
+    // same store as the other generators' dedup).
+    let mut seen: gps_graph::CompactAdjacency<()> =
+        gps_graph::CompactAdjacency::with_capacity(n as usize, edges.len());
     for &e in &edges {
         seen.insert(e, ());
     }

@@ -25,7 +25,7 @@
 //! | [`core`] | `GpsSampler` (Alg 1), weight functions, post-stream (Alg 2) & in-stream (Alg 3) estimation, generic motif snapshots, subset sums |
 //! | [`graph`] | node/edge types, adjacency & CSR storage, exact triangle/wedge counting, incremental counters, edge-list I/O |
 //! | [`stream`] | seeded permutations, checkpoint scheduling, synthetic workload generators, the evaluation corpus |
-//! | [`baselines`] | TRIEST / TRIEST-IMPR, MASCOT(-C), NSAMP(+bulk), JHA wedge sampling, uniform reservoir — store-based ones on the shared adjacency-backend substrate |
+//! | [`baselines`] | TRIEST / TRIEST-IMPR, MASCOT(-C), NSAMP(+bulk), JHA wedge sampling, uniform reservoir — store-based ones on the same `CompactAdjacency` as GPS |
 //! | [`engine`] | `ShardedGps`: hash-partitioned multi-threaded ingest over `S` independent reservoirs, unbiased cross-shard estimate merging (honest `S > 1` CIs), in-stream estimation inside the workers, composed snapshots |
 //! | [`serve`] | `ServeEngine`: live queries while ingest runs — epoch-published merged estimates, lock-free `QueryHandle::latest`, blocking watermark waits, bounded subscriptions |
 //! | [`stats`] | running moments, ARE/MARE metrics, table rendering |
